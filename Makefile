@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos short fuzz ci bench-json bench-check service-soak overload
+.PHONY: all build vet test race chaos short fuzz ci service-soak overload
 
 all: build vet test
 
@@ -38,20 +38,11 @@ service-soak:
 	$(GO) test -race -count=1 ./internal/session/ ./cmd/mustserve/
 	$(GO) test -race -count=5 -run 'TestConcurrentAppendAndCheckpoint|TestFenceCutsOffConcurrentStaleWriter' ./internal/journal/
 
-# Resource-governance shard: governor unit tests, the budget-equivalence
-# chaos sweep, tiny-budget degradation drills, the stalled-consumer memory
-# bound, and the overload-abort leak churn.
+# Resource-governance shard: governor unit tests, the default-budget
+# equivalence chaos sweep, the governed-by-default check, tiny-budget
+# degradation drills, the stalled-consumer memory bound, and the
+# overload-abort leak churn.
 overload:
-	$(GO) test -race -count=1 -run 'TestOverload|TestWireTCPBackpressure|TestMsgCost|TestGovernor|TestAdmitIntake|TestSendqByteCap' ./internal/fault/ ./internal/tbon/
-
-# Regenerate the committed benchmark baseline (BENCH_pr10.json).
-BENCH_BASELINE ?= BENCH_pr10.json
-bench-json:
-	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE)
-
-# Run the benchmark families and fail on a >25% slowdown regression
-# against the committed baseline (what the nightly bench job runs).
-bench-check:
-	$(GO) run ./cmd/benchjson -out /dev/null -against $(BENCH_BASELINE)
+	$(GO) test -race -count=1 -run 'TestOverload|TestWireTCPBackpressure|TestMsgCost|TestGovernor|TestZeroBudgetIsDefault|TestAdmitIntake|TestSendqByteCap' ./internal/fault/ ./internal/tbon/
 
 ci: vet build race

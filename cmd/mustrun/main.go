@@ -37,6 +37,18 @@ import (
 	"dwst/must"
 )
 
+// memBudgetSpec validates -mem-budget and encodes it for session.Spec,
+// where 0 selects the default budget.
+func memBudgetSpec(flagVal int64) (int64, error) {
+	switch {
+	case flagVal <= 0:
+		return 0, fmt.Errorf("bad -mem-budget %d: want a positive byte count (default %d)", flagVal, must.DefaultMemBudget)
+	case flagVal == must.DefaultMemBudget:
+		return 0, nil
+	}
+	return flagVal, nil
+}
+
 func main() {
 	var (
 		wl         = flag.String("workload", "recvrecv", "workload: stress|wildcard|recvrecv|fig2b|unexpected|clean|spec:<name>")
@@ -47,7 +59,6 @@ func main() {
 		iters      = flag.Int("iters", 50, "iterations (stress/spec workloads)")
 		rendezvous = flag.Bool("rendezvous", false, "force synchronous standard sends")
 		prefer     = flag.Bool("prefer-waitstate", false, "prioritize wait-state messages on tool nodes")
-		batch      = flag.Bool("batch", true, "hot-path batching on the TBON (slab delivery + wait-state coalescing); -batch=false runs the unbatched path")
 		htmlPath   = flag.String("html", "", "write the HTML report to this file")
 		dotPath    = flag.String("dot", "", "write the DOT wait-for graph to this file")
 		sites      = flag.Bool("sites", false, "record call sites (reports point at source lines)")
@@ -66,7 +77,7 @@ func main() {
 		wdQuiet   = flag.Duration("watchdog-quiet", 0, "progress watchdog quiet period (0 = disabled)")
 		statsJSON = flag.String("stats-json", "", "write run statistics as JSON to this file (- for stdout)")
 
-		memBudget = flag.Int64("mem-budget", must.DefaultMemBudget, "tool-plane memory budget in bytes per process (distributed mode; 0 = unbounded legacy behavior)")
+		memBudget = flag.Int64("mem-budget", must.DefaultMemBudget, "tool-plane memory budget in bytes per process (distributed mode; a positive byte count)")
 
 		engineSel    = flag.String("engine", "", "detection engine: wfg (reference, default) | cmh (Chandy–Misra–Haas probes) | all (every applicable engine)")
 		differential = flag.Bool("differential", false, "run every applicable engine on each snapshot plus the static pre-run pass; report verdict deviations")
@@ -106,6 +117,11 @@ func main() {
 	faultActive := *faultDrop > 0 || *faultDup > 0 || *faultReord > 0 || *crashNode >= 0 ||
 		*rankCrash != "" || *rankStall != ""
 
+	specBudget, err := memBudgetSpec(*memBudget)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	spec := session.Spec{
 		Workload:         *wl,
 		Procs:            *procs,
@@ -115,21 +131,13 @@ func main() {
 		Timeout:          session.Duration(*timeout),
 		Rendezvous:       *rendezvous,
 		PreferWaitState:  *prefer,
-		NoBatch:          !*batch,
 		TrackCallSites:   *sites,
 		LinkDelay:        session.Duration(*linkDelay),
 		SnapshotDeadline: session.Duration(*snapDeadl),
 		WatchdogQuiet:    session.Duration(*wdQuiet),
 		Engine:           *engineSel,
 		Differential:     *differential,
-	}
-	// Spec encoding: 0 means "service default" there, so the unbounded
-	// request (flag 0) maps to the explicit -1 sentinel.
-	switch {
-	case *memBudget == 0:
-		spec.MemBudget = -1
-	case *memBudget != must.DefaultMemBudget:
-		spec.MemBudget = *memBudget
+		MemBudget:        specBudget,
 	}
 	if faultActive {
 		spec.Fault = &session.FaultSpec{
@@ -345,7 +353,7 @@ func main() {
 	writeIf(*htmlPath, rep.HTML)
 	writeIf(*dotPath, rep.DOT)
 	if *statsJSON != "" {
-		st := session.StatsFor(*wl, *procs, *mode, *transport, *batch, rep)
+		st := session.StatsFor(*wl, *procs, *mode, *transport, rep)
 		st.Interrupted = interrupted
 		// Must stay the last stdout write: with `-stats-json -`, consumers
 		// parse the trailing JSON object off the human-readable output.

@@ -85,6 +85,25 @@ func TestValidateTransportFlags(t *testing.T) {
 	}
 }
 
+func TestMemBudgetFlag(t *testing.T) {
+	cases := []struct {
+		flag    int64
+		want    int64
+		wantErr bool
+	}{
+		{must.DefaultMemBudget, 0, false}, // the default encodes as spec's 0
+		{1 << 20, 1 << 20, false},
+		{0, 0, true}, // 0 no longer means unbounded
+		{-1, 0, true},
+	}
+	for _, c := range cases {
+		got, err := memBudgetSpec(c.flag)
+		if (err != nil) != c.wantErr || got != c.want {
+			t.Errorf("memBudgetSpec(%d) = %d, %v; want %d, wantErr %v", c.flag, got, err, c.want, c.wantErr)
+		}
+	}
+}
+
 // The stats schema itself lives in internal/session now; this guards the
 // mustrun-specific contract that TCP transport counters survive the trip
 // into -stats-json.
@@ -99,7 +118,7 @@ func TestStatsJSONCarriesTransportCounters(t *testing.T) {
 		RespawnBackoff:        300 * time.Millisecond,
 		ReplayTime:            5 * time.Millisecond,
 	}
-	b, err := json.Marshal(session.StatsFor("fig2b", 8, "distributed", "tcp", false, rep))
+	b, err := json.Marshal(session.StatsFor("fig2b", 8, "distributed", "tcp", rep))
 	if err != nil {
 		t.Fatal(err)
 	}

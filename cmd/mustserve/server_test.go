@@ -106,6 +106,7 @@ func TestAPIRejectsBadSpecs(t *testing.T) {
 		{"zero procs", `{"workload": "recvrecv"}`},
 		{"over procs cap", `{"workload": "recvrecv", "procs": 64}`},
 		{"centralized with fault", `{"workload": "recvrecv", "procs": 4, "mode": "centralized", "fault": {"drop": 0.1}}`},
+		{"removed no_batch field", `{"workload": "recvrecv", "procs": 4, "no_batch": true}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

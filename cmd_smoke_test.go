@@ -192,7 +192,7 @@ func TestCmdMustrunStatsJSONStdout(t *testing.T) {
 	// newline-terminated, after the human-readable report — so shell
 	// pipelines can `tail` it off without guessing at offsets.
 	out, code := goRunStdout(t, "./cmd/mustrun", "-workload", "recvrecv", "-procs", "4",
-		"-batch=false", "-stats-json", "-")
+		"-mem-budget", "8388608", "-stats-json", "-")
 	if code != 1 {
 		t.Fatalf("exit = %d\n%s", code, out)
 	}
@@ -204,16 +204,16 @@ func TestCmdMustrunStatsJSONStdout(t *testing.T) {
 		t.Fatalf("no trailing JSON object on stdout:\n%s", out)
 	}
 	var st struct {
-		Workload string `json:"workload"`
-		Procs    int    `json:"procs"`
-		Batch    bool   `json:"batch"`
-		Verdict  string `json:"verdict"`
-		Deadlock bool   `json:"deadlock"`
+		Workload  string `json:"workload"`
+		Procs     int    `json:"procs"`
+		MemBudget int64  `json:"mem_budget"`
+		Verdict   string `json:"verdict"`
+		Deadlock  bool   `json:"deadlock"`
 	}
 	if err := json.Unmarshal([]byte(out[i+1:]), &st); err != nil {
 		t.Fatalf("trailing JSON does not parse: %v\n%s", err, out[i+1:])
 	}
-	if st.Workload != "recvrecv" || st.Procs != 4 || st.Batch || !st.Deadlock {
+	if st.Workload != "recvrecv" || st.Procs != 4 || st.MemBudget != 8<<20 || !st.Deadlock {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -60,17 +60,12 @@ type Config struct {
 	// TrackCallSites records application source locations in events so
 	// reports can point at code.
 	TrackCallSites bool
-	// NoBatch disables hot-path batching: no slab delivery on tool queues,
-	// no per-destination coalescing of wait-state messages, no slab-level
-	// acknowledgements. Batching is on by default; the off switch exists for
-	// equivalence testing and bisection (see must.Options.Batch).
-	NoBatch bool
-	// MemBudget, when positive, bounds resident tool-plane buffer bytes per
-	// process (queue pumps, TCP send queues): data-lane traffic is
-	// byte-accounted, backpressure reaches the rank → leaf intake, and
-	// exhaustion despite backpressure degrades the run honestly (overflow
-	// counters, Overloaded + Partial) instead of growing without limit.
-	// 0 keeps the historical unbounded behavior (see tbon.Config.MemBudget).
+	// MemBudget bounds resident tool-plane buffer bytes per process (queue
+	// pumps, TCP send queues): data-lane traffic is byte-accounted,
+	// backpressure reaches the rank → leaf intake, and exhaustion despite
+	// backpressure degrades the run honestly (overflow counters, Overloaded
+	// + Partial) instead of growing without limit. Zero means
+	// tbon.DefaultMemBudget.
 	MemBudget int64
 
 	// Fault optionally injects link faults and tool-node crashes (see
@@ -216,8 +211,8 @@ type Result struct {
 	WorkerRespawns        uint64
 	ShippedJournalEntries uint64
 
-	// Resource-governance accounting (zero with MemBudget == 0; see
-	// tbon.GovernorStats). MemBudget echoes the configured budget.
+	// Resource-governance accounting (see tbon.GovernorStats). MemBudget
+	// echoes the budget in force (the default when Config.MemBudget is 0).
 	// MemHighWater is the peak resident tool-plane bytes of any single
 	// process (max over coordinator and workers); OverflowEvents and
 	// GatedWaits sum over processes. QueueDepthHW/QueueBytesHW are
@@ -639,7 +634,6 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 		EventBuf:        cfg.EventBuf,
 		PreferWaitState: cfg.PreferWaitState,
 		LinkDelay:       cfg.LinkDelay,
-		Batch:           !cfg.NoBatch,
 		MemBudget:       cfg.MemBudget,
 		Fault:           cfg.Fault,
 		OnNodeDown: func(n *tbon.Node) {
@@ -690,7 +684,6 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 		if n.IsFirstLayer() {
 			idx := n.Index()
 			h.leaf = dws.NewNode(idx, n.Tree().RanksOf(idx), n.Tree().NodeFor, tbonOut{tn: n})
-			h.leaf.SetBatch(!cfg.NoBatch)
 			h.leaf.SetWatchdogQuiet(cfg.WatchdogQuiet)
 			if journaling {
 				j := journals[idx]
@@ -943,16 +936,13 @@ func Run(cfg Config, prog mpisim.Program) *Result {
 			// despite backpressure is honest degradation: the run is marked
 			// Overloaded, and the report Partial — results may be incomplete
 			// because the tool shed load rather than grow without bound.
-			res.MemBudget = cfg.MemBudget
-			if gs := tree.GovStats(); gs.Budget > 0 {
-				if gs.HighWater > res.MemHighWater {
-					res.MemHighWater = gs.HighWater
-				}
-				res.OverflowEvents += gs.Overflow
-				res.GatedWaits += gs.Gated
-				res.QueueDepthHW = foldClassHW(res.QueueDepthHW, gs.QueueDepthHW)
-				res.QueueBytesHW = foldClassHW(res.QueueBytesHW, gs.QueueBytesHW)
-			}
+			gs := tree.GovStats()
+			res.MemBudget = gs.Budget
+			res.MemHighWater = max(res.MemHighWater, gs.HighWater)
+			res.OverflowEvents += gs.Overflow
+			res.GatedWaits += gs.Gated
+			res.QueueDepthHW = foldClassHW(res.QueueDepthHW, gs.QueueDepthHW)
+			res.QueueBytesHW = foldClassHW(res.QueueBytesHW, gs.QueueBytesHW)
 			if res.OverflowEvents > 0 {
 				res.Overloaded = true
 				res.Partial = true

@@ -72,9 +72,9 @@ type Result struct {
 	// vs stalled vs none).
 	Verdict Verdict
 	// EngineVerdicts maps each detection engine that ran on this snapshot
-	// to its verdict string (or its skip reason: "inapplicable",
-	// "inconclusive"). Populated only when more than the default reference
-	// engine ran (engine selection or differential mode).
+	// to its verdict string (or its skip reason, "inapplicable"). Populated
+	// only when more than the default reference engine ran (engine
+	// selection or differential mode).
 	EngineVerdicts map[string]string
 	// EngineDeviations lists disagreements between the engines and the
 	// WFG reference on this snapshot (differential mode only; empty means
@@ -630,7 +630,7 @@ func (r *Root) analyze() *Result {
 			}
 		}
 		if r.differential {
-			res.EngineDeviations = engine.Deviations(ref, extra, findings)
+			res.EngineDeviations = engine.Deviations(ref, findings)
 		}
 	}
 	res.Verdict = primary.Verdict
@@ -693,10 +693,7 @@ func (r *Root) analyze() *Result {
 // runs (its graph also drives output generation).
 func (r *Root) engineList() []engine.Engine {
 	var out []engine.Engine
-	switch {
-	case r.differential || r.engineSel == "all":
-		out = []engine.Engine{engine.CMH{}, engine.TwoCycle{}}
-	case r.engineSel == "cmh":
+	if r.differential || r.engineSel == "all" || r.engineSel == "cmh" {
 		out = []engine.Engine{engine.CMH{}}
 	}
 	return append(out, r.extraEngines...)

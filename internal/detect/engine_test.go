@@ -47,7 +47,7 @@ func TestDifferentialAgreement(t *testing.T) {
 	if !res.Deadlock {
 		t.Fatalf("res = %+v", res)
 	}
-	for _, e := range []string{"wfg", "cmh", "twocycle"} {
+	for _, e := range []string{"wfg", "cmh"} {
 		if _, ok := res.EngineVerdicts[e]; !ok {
 			t.Fatalf("engine %s missing from verdicts %v", e, res.EngineVerdicts)
 		}

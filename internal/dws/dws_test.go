@@ -14,6 +14,8 @@ import (
 
 // harness drives a set of dws Nodes with deterministic message routing,
 // playing the roles of tbon and the root (collective matching registry).
+// Like the tbon substrate, it ends every delivery cycle with FlushPeers, so
+// intralayer traffic travels coalesced exactly as in a real run.
 type harness struct {
 	t          *testing.T
 	nodes      []*Node
@@ -86,12 +88,31 @@ func newHarness(t *testing.T, procs, fanIn int) *harness {
 
 func (h *harness) node(rank int) *Node { return h.nodes[rank/h.fanIn] }
 
-// drain delivers queued intralayer messages (FIFO per queue order) until
-// quiescent.
+// flush ends a delivery cycle on every node: coalesced peer traffic moves
+// into peerQ.
+func (h *harness) flush() {
+	for _, n := range h.nodes {
+		n.FlushPeers()
+	}
+}
+
+// next pops the oldest queued intralayer message, flushing first so output
+// still coalesced in a node's buffer is not overlooked; ok is false when
+// the tool is quiescent.
+func (h *harness) next() (m peerMsg, ok bool) {
+	h.flush()
+	if len(h.peerQ) == 0 {
+		return peerMsg{}, false
+	}
+	m = h.peerQ[0]
+	h.peerQ = h.peerQ[1:]
+	return m, true
+}
+
+// drain delivers queued intralayer messages (FIFO per queue order), one
+// delivery cycle each, until quiescent.
 func (h *harness) drain() {
-	for len(h.peerQ) > 0 {
-		m := h.peerQ[0]
-		h.peerQ = h.peerQ[1:]
+	for m, ok := h.next(); ok; m, ok = h.next() {
 		h.nodes[m.to].OnPeer(m.from, m.msg)
 	}
 }
@@ -107,10 +128,12 @@ func (h *harness) enter(op trace.Op) {
 		op.SelfGroup = op.Proc
 	}
 	h.node(op.Proc).OnEvent(event.Event{Type: event.Enter, Op: op})
+	h.flush()
 }
 
 func (h *harness) status(proc, ts, src int) {
 	h.node(proc).OnEvent(event.Event{Type: event.Status, Proc: proc, TS: ts, Src: src})
+	h.flush()
 }
 
 func TestHandshakeAdvancesBothSides(t *testing.T) {
@@ -371,12 +394,18 @@ func TestNoDuplicateHandshakeMessages(t *testing.T) {
 	h := newHarness(t, 2, 2) // one node hosts both ranks (self-messages)
 	const pairs = 10
 	seen := map[[2]int]int{}
+	count := func(msg any) {
+		if ra, ok := msg.(RecvActive); ok {
+			seen[[2]int{ra.RecvProc, ra.RecvTS}]++
+		}
+	}
 	drainCount := func() {
-		for len(h.peerQ) > 0 {
-			m := h.peerQ[0]
-			h.peerQ = h.peerQ[1:]
-			if ra, ok := m.msg.(RecvActive); ok {
-				seen[[2]int{ra.RecvProc, ra.RecvTS}]++
+		for m, ok := h.next(); ok; m, ok = h.next() {
+			count(m.msg)
+			if b, ok := m.msg.(Batch); ok {
+				for _, sub := range b.Msgs {
+					count(sub)
+				}
 			}
 			h.nodes[m.to].OnPeer(m.from, m.msg)
 		}
@@ -406,6 +435,37 @@ func TestNoDuplicateHandshakeMessages(t *testing.T) {
 	}
 	if got := h.nodes[0].Stats().RecvActives; got != pairs {
 		t.Fatalf("stats recvActives = %d, want %d", got, pairs)
+	}
+}
+
+// TestCommInfoAfterAckStillSealsCommunicator pins a lost-report race: a
+// rank emits CommInfo only after its Comm_split returned, so the split's
+// collective Ack can retire the operation first. The membership report
+// must still reach the root, or the new communicator is never sealed and
+// every later collective on it looks blocked forever (a false deadlock).
+func TestCommInfoAfterAckStillSealsCommunicator(t *testing.T) {
+	h := newHarness(t, 2, 1)
+	for r := 0; r < 2; r++ {
+		h.enter(trace.Op{Proc: r, TS: 0, Kind: trace.CommSplit, Peer: -1, Comm: trace.CommWorld})
+	}
+	h.drain()
+	for r := 0; r < 2; r++ {
+		if got := h.nodes[r].CurrentTS(r); got != 1 {
+			t.Fatalf("rank %d did not advance past the acked Comm_split: l = %d", r, got)
+		}
+	}
+	const sub = trace.CommID(2)
+	for r := 0; r < 2; r++ {
+		h.node(r).OnEvent(event.Event{Type: event.CommInfo, Proc: r, TS: 0, Comm: sub})
+		h.flush()
+	}
+	if got := h.root.Group(sub); len(got) != 2 {
+		t.Fatalf("communicator %d not sealed after late CommInfo: group %v", sub, got)
+	}
+	for r := 0; r < 2; r++ {
+		if w := h.nodes[r].WindowSize(); w != 0 {
+			t.Fatalf("node %d still holds %d ops after CommInfo", r, w)
+		}
 	}
 }
 

@@ -52,8 +52,7 @@ type RecvActiveAck struct {
 // plus any snapshot ping-pong interleaved with them — the per-link FIFO
 // order between wait-state and Ping/Pong traffic is load-bearing for the
 // consistent-state protocol, so every peer message rides the same buffer).
-// Receivers unpack in order in OnPeer; senders emit it from FlushPeers when
-// batching is on.
+// Receivers unpack in order in OnPeer; senders emit it from FlushPeers.
 type Batch struct {
 	FromNode int
 	Msgs     []any

@@ -92,12 +92,11 @@ type Node struct {
 	// checkpoint trigger (journal watermark advances on op retirement).
 	retiredOps int
 
-	// batch, when set, coalesces intralayer traffic per destination: sendPeer
-	// buffers into pendPeer and FlushPeers (driven by the substrate at the
-	// end of each delivery cycle) ships one Batch per destination. pendDest
-	// keeps the destinations in first-touch order so the flush is
-	// deterministic and allocation-free.
-	batch    bool
+	// pendPeer coalesces intralayer traffic per destination: sendPeer
+	// buffers into it and FlushPeers (driven by the substrate at the end of
+	// each delivery cycle) ships one Batch per destination. pendDest keeps
+	// the destinations in first-touch order so the flush is deterministic
+	// and allocation-free.
 	pendPeer map[int][]any
 	pendDest []int
 
@@ -189,6 +188,9 @@ type opState struct {
 	wave      int
 	collAcked bool
 	retired   bool
+	// commReported marks a communicator-creating collective whose CommInfo
+	// (and so its registry report) was processed.
+	commReported bool
 }
 
 // NewNode creates a tracker for the given hosted world ranks.
@@ -207,6 +209,7 @@ func NewNode(id int, hosted []int, nodeFor func(int) int, out Out) *Node {
 		deadRanks:  make(map[int]bool),
 		passSeen:   make(map[int]int),
 		readySent:  make(map[collKey][]collmatch.Ready),
+		pendPeer:   make(map[int][]any),
 	}
 	now := time.Now()
 	for _, r := range hosted {
@@ -255,17 +258,13 @@ func (n *Node) peer(node int, msg any) {
 }
 
 // sendPeer routes one intralayer message through the per-destination
-// coalescing buffer, or straight out when batching is off. ALL peer traffic
+// coalescing buffer; nothing leaves before FlushPeers. ALL peer traffic
 // — wait-state messages and the snapshot Ping/Pong alike — must take this
 // path: the consistent-state protocol's drain argument rests on per-link
 // FIFO between them, which a Ping bypassing a buffered PassSend would break
 // (the ping-pong would "prove" a message consumed that is still sitting in
 // this node's buffer — a false-deadlock hazard).
 func (n *Node) sendPeer(node int, msg any) {
-	if !n.batch {
-		n.out.Peer(node, msg)
-		return
-	}
 	// Dedup by buffered length, not map presence: FlushPeers retains each
 	// destination's (emptied) slice for reuse, so the key stays in the map
 	// across cycles.
@@ -276,20 +275,11 @@ func (n *Node) sendPeer(node int, msg any) {
 	n.pendPeer[node] = append(msgs, msg)
 }
 
-// SetBatch switches per-destination coalescing on or off. Call before any
-// traffic flows (or right after construction on a recovery respawn).
-func (n *Node) SetBatch(on bool) {
-	n.batch = on
-	if on && n.pendPeer == nil {
-		n.pendPeer = make(map[int][]any)
-	}
-}
-
 // FlushPeers ships everything coalesced in the current delivery cycle: the
-// bare message when a destination accumulated exactly one (so the unbatched
-// message shapes stay on the wire for singleton traffic), one Batch
-// otherwise. The substrate calls it at the end of every cycle; recovery
-// calls it before swapping output surfaces. No-op when nothing is pending.
+// bare message when a destination accumulated exactly one (so singleton
+// traffic keeps its plain message shape on the wire), one Batch otherwise.
+// The substrate calls it at the end of every cycle; recovery calls it
+// before swapping output surfaces. No-op when nothing is pending.
 func (n *Node) FlushPeers() {
 	if len(n.pendDest) == 0 {
 		return
@@ -494,10 +484,13 @@ func (n *Node) onCommInfo(proc, ts int, newComm trace.CommID) {
 	}
 	n.membersSent = append(n.membersSent, m)
 	n.out.Up(m)
+	o.commReported = true
+	if o.retired {
+		n.dropOp(rs, ts)
+	}
 }
 
-// OnPeer dispatches an intralayer message. Batches unpack in send order —
-// receivers understand them regardless of their own batch setting.
+// OnPeer dispatches an intralayer message. Batches unpack in send order.
 func (n *Node) OnPeer(from int, msg any) {
 	switch m := msg.(type) {
 	case PassSend:
@@ -774,6 +767,15 @@ func (n *Node) retire(rs *rankState, o *opState) {
 		// Keep until the match handshake finished (messages may still
 		// arrive); completions use the request record afterwards.
 		if o.commComplete {
+			n.dropOp(rs, o.op.TS)
+		}
+	case kind == trace.CommDup || kind == trace.CommSplit:
+		// The rank reports the created communicator only after the call
+		// returned, so its CommInfo can trail the wave's Ack. Keep the op
+		// (its parent comm and wave) until onCommInfo has reported the
+		// membership; dropping it here would lose the report, and the root
+		// could never seal the communicator.
+		if o.commReported {
 			n.dropOp(rs, o.op.TS)
 		}
 	case kind.IsCollective():

@@ -19,10 +19,6 @@
 //     ground truth for the comparison.
 //   - cmh: a Chandy–Misra–Haas probe computation over the same snapshot.
 //     Always applicable; must agree exactly (verdict and set).
-//   - twocycle: the cheap mutual-wait screen. Sound but incomplete: when
-//     it fires, the reference must agree a deadlock exists and the pair
-//     members must be in the reference residue; when it cannot conclude
-//     anything it returns ErrInconclusive and is skipped.
 //   - static: Liao-style queue matching over a pre-run recorded call
 //     trace. Only applicable to deterministic traces (no wildcards, no
 //     probes, no any-completion waits); returns ErrInapplicable otherwise.
@@ -70,12 +66,6 @@ func (v Verdict) String() string {
 	default:
 		return "none"
 	}
-}
-
-// Deadlockish reports whether the verdict is in the deadlock family
-// (VerdictDeadlock or VerdictDeadlockByFailure).
-func (v Verdict) Deadlockish() bool {
-	return v == VerdictDeadlock || v == VerdictDeadlockByFailure
 }
 
 // Wait is one rank's blocking condition with fully expanded targets
@@ -146,27 +136,14 @@ type Engine interface {
 	Needs() Need
 	// Analyze produces the verdict and the deadlocked ranks (ascending).
 	// It returns ErrInapplicable when the input is outside the engine's
-	// domain and ErrInconclusive when a screen cannot decide either way;
-	// both are skipped by the differential comparison. Any other error is
+	// domain, which the differential comparison skips. Any other error is
 	// itself a deviation.
 	Analyze(in Input) (Verdict, []int, error)
-}
-
-// PartialDetector is an optional interface for screens whose deadlocked
-// set is a witness subset of the true residue rather than the full set;
-// the differential comparison uses subset semantics for them.
-type PartialDetector interface {
-	Partial() bool
 }
 
 // ErrInapplicable reports that the input is outside the engine's domain
 // (e.g. a wildcard trace handed to the static engine). Not a deviation.
 var ErrInapplicable = errors.New("engine not applicable to this input")
-
-// ErrInconclusive reports that a screening engine could not decide either
-// way (it only ever proves deadlocks, never their absence). Not a
-// deviation.
-var ErrInconclusive = errors.New("engine inconclusive on this input")
 
 // Classify derives the verdict from a snapshot and the computed deadlocked
 // set, shared by all snapshot engines: a residue containing crashed ranks
@@ -205,8 +182,6 @@ func (f Finding) VerdictString() string {
 	switch {
 	case errors.Is(f.Err, ErrInapplicable):
 		return "inapplicable"
-	case errors.Is(f.Err, ErrInconclusive):
-		return "inconclusive"
 	case f.Err != nil:
 		return "error: " + f.Err.Error()
 	default:
@@ -232,61 +207,30 @@ func RunAll(engines []Engine, in Input) []Finding {
 }
 
 // Deviations compares engine findings against the reference finding and
-// returns one human-readable deviation per disagreement. Inapplicable and
-// inconclusive engines are skipped; any other engine error is reported as
-// a deviation (an engine crashing on valid input is a bug worth failing
-// on). Exact-set engines must match verdict and deadlocked set; partial
-// detectors (PartialDetector) must agree on the deadlock family and their
-// witness set must be contained in the reference residue.
-func Deviations(ref Finding, engines []Engine, findings []Finding) []string {
-	partial := make(map[string]bool, len(engines))
-	for _, e := range engines {
-		if pd, ok := e.(PartialDetector); ok && pd.Partial() {
-			partial[e.Name()] = true
-		}
-	}
+// returns one human-readable deviation per disagreement. Inapplicable
+// engines are skipped; any other engine error is reported as a deviation
+// (an engine crashing on valid input is a bug worth failing on). Every
+// engine must match the reference verdict and deadlocked set exactly.
+func Deviations(ref Finding, findings []Finding) []string {
 	var out []string
 	for _, f := range findings {
 		if f.Engine == ref.Engine {
 			continue
 		}
 		switch {
-		case errors.Is(f.Err, ErrInapplicable) || errors.Is(f.Err, ErrInconclusive):
+		case errors.Is(f.Err, ErrInapplicable):
 			continue
 		case f.Err != nil:
 			out = append(out, fmt.Sprintf("%s: error: %v", f.Engine, f.Err))
-		case partial[f.Engine]:
-			if f.Verdict.Deadlockish() && !ref.Verdict.Deadlockish() {
-				out = append(out, fmt.Sprintf("%s: found a deadlock %v where reference %s found %s",
-					f.Engine, f.Deadlocked, ref.Engine, ref.Verdict))
-			} else if !subsetOf(f.Deadlocked, ref.Deadlocked) {
-				out = append(out, fmt.Sprintf("%s: witness set %v not contained in reference residue %v",
-					f.Engine, f.Deadlocked, ref.Deadlocked))
-			}
-		default:
-			if f.Verdict != ref.Verdict {
-				out = append(out, fmt.Sprintf("%s: verdict %s, reference %s says %s",
-					f.Engine, f.Verdict, ref.Engine, ref.Verdict))
-			} else if !equalInts(f.Deadlocked, ref.Deadlocked) {
-				out = append(out, fmt.Sprintf("%s: deadlocked set %v, reference %s says %v",
-					f.Engine, f.Deadlocked, ref.Engine, ref.Deadlocked))
-			}
+		case f.Verdict != ref.Verdict:
+			out = append(out, fmt.Sprintf("%s: verdict %s, reference %s says %s",
+				f.Engine, f.Verdict, ref.Engine, ref.Verdict))
+		case !equalInts(f.Deadlocked, ref.Deadlocked):
+			out = append(out, fmt.Sprintf("%s: deadlocked set %v, reference %s says %v",
+				f.Engine, f.Deadlocked, ref.Engine, ref.Deadlocked))
 		}
 	}
 	return out
-}
-
-func subsetOf(sub, super []int) bool {
-	in := make(map[int]bool, len(super))
-	for _, s := range super {
-		in[s] = true
-	}
-	for _, s := range sub {
-		if !in[s] {
-			return false
-		}
-	}
-	return true
 }
 
 func equalInts(a, b []int) bool {

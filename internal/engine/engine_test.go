@@ -157,63 +157,6 @@ func compareCMH(t *testing.T, snap *Snapshot) {
 	}
 }
 
-func TestTwoCycleFindsMutualWait(t *testing.T) {
-	snap := &Snapshot{Procs: 4, Blocked: map[int]Wait{
-		1: andWait(3), 3: andWait(1),
-	}}
-	v, dl, err := TwoCycle{}.Analyze(Input{Snapshot: snap})
-	if err != nil {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if v != VerdictDeadlock || !equalInts(dl, []int{1, 3}) {
-		t.Fatalf("verdict %v, witness %v", v, dl)
-	}
-	// An OR-wait with an alternative target is not pinned on the peer.
-	snap = &Snapshot{Procs: 3, Blocked: map[int]Wait{
-		0: orWait(1, 2), 1: andWait(0),
-	}}
-	if _, _, err := (TwoCycle{}).Analyze(Input{Snapshot: snap}); !errors.Is(err, ErrInconclusive) {
-		t.Fatalf("want ErrInconclusive for unpinned OR pair, got %v", err)
-	}
-	// A single-target OR is pinned just like an AND.
-	snap = &Snapshot{Procs: 2, Blocked: map[int]Wait{
-		0: orWait(1), 1: andWait(0),
-	}}
-	v, dl, err = TwoCycle{}.Analyze(Input{Snapshot: snap})
-	if err != nil || v != VerdictDeadlock || !equalInts(dl, []int{0, 1}) {
-		t.Fatalf("pinned OR pair: %v %v %v", v, dl, err)
-	}
-}
-
-// TestTwoCycleWitnessSubset verifies the partial-detector contract the
-// differential comparison relies on: whenever the screen fires, its
-// witness is inside the reference residue.
-func TestTwoCycleWitnessSubset(t *testing.T) {
-	fired := 0
-	for seed := int64(0); seed < 2000; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		snap := randomSnapshot(rng)
-		v, dl, err := TwoCycle{}.Analyze(Input{Snapshot: snap})
-		if errors.Is(err, ErrInconclusive) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		fired++
-		if !v.Deadlockish() {
-			t.Fatalf("seed %d: fired with verdict %v", seed, v)
-		}
-		_, refDead, _ := WFG{}.AnalyzeGraph(snap)
-		if !subsetOf(dl, refDead) {
-			t.Fatalf("seed %d: witness %v not in residue %v (snapshot %+v)", seed, dl, refDead, snap)
-		}
-	}
-	if fired == 0 {
-		t.Fatal("screen never fired across the random census")
-	}
-}
-
 // brokenEngine deliberately inverts the reference verdict — the seeded
 // fault the differential oracle must catch.
 type brokenEngine struct{ verdict Verdict }
@@ -239,49 +182,26 @@ func TestDeviations(t *testing.T) {
 	ref := Finding{Engine: "wfg", Verdict: VerdictNone}
 	engines := []Engine{brokenEngine{verdict: VerdictDeadlock}, errorEngine{}, CMH{}}
 	findings := RunAll(engines, Input{Snapshot: &Snapshot{Procs: 2}})
-	devs := Deviations(ref, engines, findings)
+	devs := Deviations(ref, findings)
 	if len(devs) != 2 {
 		t.Fatalf("want 2 deviations (broken verdict + engine error), got %v", devs)
 	}
 
-	// Agreement produces none; inconclusive partial detectors are skipped.
+	// Agreement produces none.
 	snap := &Snapshot{Procs: 2, Blocked: map[int]Wait{0: andWait(1), 1: andWait(0)}}
 	refVerdict, refDead, _ := WFG{}.AnalyzeGraph(snap)
 	ref = Finding{Engine: "wfg", Verdict: refVerdict, Deadlocked: refDead}
-	engines = []Engine{CMH{}, TwoCycle{}}
-	devs = Deviations(ref, engines, RunAll(engines, Input{Snapshot: snap}))
+	engines = []Engine{CMH{}}
+	devs = Deviations(ref, RunAll(engines, Input{Snapshot: snap}))
 	if len(devs) != 0 {
 		t.Fatalf("agreeing engines reported deviations: %v", devs)
 	}
-
-	// A partial detector claiming a deadlock the reference denies is a
-	// deviation even though its exact set is not checked.
-	ref = Finding{Engine: "wfg", Verdict: VerdictNone}
-	liar := brokenPartial{}
-	in := Input{Snapshot: &Snapshot{Procs: 2}}
-	devs = Deviations(ref, []Engine{liar}, RunAll([]Engine{liar}, in))
-	if len(devs) != 1 {
-		t.Fatalf("partial-detector false positive missed: %v", devs)
-	}
-}
-
-type brokenPartial struct{}
-
-func (brokenPartial) Name() string  { return "broken-partial" }
-func (brokenPartial) Needs() Need   { return NeedSnapshot }
-func (brokenPartial) Partial() bool { return true }
-func (brokenPartial) Analyze(Input) (Verdict, []int, error) {
-	return VerdictDeadlock, []int{0, 1}, nil
 }
 
 func TestVerdictStrings(t *testing.T) {
 	f := Finding{Engine: "x", Err: ErrInapplicable}
 	if s := f.VerdictString(); s != "inapplicable" {
 		t.Fatalf("inapplicable finding: %q", s)
-	}
-	f = Finding{Engine: "x", Err: ErrInconclusive}
-	if s := f.VerdictString(); s != "inconclusive" {
-		t.Fatalf("inconclusive finding: %q", s)
 	}
 	f = Finding{Engine: "x", Verdict: VerdictDeadlock}
 	if s := f.VerdictString(); s != "deadlock" {

@@ -1,8 +1,8 @@
 package fault_test
 
 // Differential-oracle suite: every run executes all applicable detection
-// engines (the WFG reference, the Chandy–Misra–Haas probe engine, the
-// two-cycle screen) on the same wait-state snapshots, plus the static
+// engines (the WFG reference and the Chandy–Misra–Haas probe engine) on
+// the same wait-state snapshots, plus the static
 // pre-run queue-matching pass, and any disagreement with the reference is
 // a hard failure. The census runs the three canonical workloads across
 // many seeds fault-free (the paper's equivalence bar), and a second leg

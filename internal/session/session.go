@@ -83,7 +83,7 @@ func Run(ctx context.Context, spec *Spec) (out *Outcome) {
 		return &Outcome{State: StateFailed, Error: rep.Err.Error()}
 	}
 
-	stats := StatsFor(spec.Workload, spec.Procs, spec.modeName(), "chan", !spec.NoBatch, rep)
+	stats := StatsFor(spec.Workload, spec.Procs, spec.modeName(), "chan", rep)
 	out = &Outcome{State: StateDone, Stats: &stats, Report: rep}
 
 	// Classify abnormal endings off the one abort path. A rank panic is
@@ -120,7 +120,6 @@ type RunStats struct {
 	Procs            int         `json:"procs"`
 	Mode             string      `json:"mode"`
 	Transport        string      `json:"transport"`
-	Batch            bool        `json:"batch"`
 	Verdict          string      `json:"verdict"`
 	Deadlock         bool        `json:"deadlock"`
 	PotentialOnly    bool        `json:"potential_only"`
@@ -157,8 +156,8 @@ type RunStats struct {
 	EngineVerdicts   map[string]string `json:"engine_verdicts,omitempty"`
 	EngineDeviations []string          `json:"engine_deviations,omitempty"`
 	DroppedResults   int               `json:"dropped_results,omitempty"`
-	// Resource-governance accounting (zero with governance off):
-	// configured budget, peak resident tool-plane bytes of any process,
+	// Resource-governance accounting (distributed mode): the budget in
+	// force, peak resident tool-plane bytes of any process,
 	// budget-exhausted admissions, gated intake waits, per-link-class
 	// (up/down/peer/wire) depth and byte high-water marks, and the honest
 	// overload flag (overflow despite backpressure; implies partial).
@@ -176,13 +175,12 @@ type RunStats struct {
 }
 
 // StatsFor flattens a report into the shared statistics schema.
-func StatsFor(wl string, procs int, mode, transport string, batch bool, rep *must.Report) RunStats {
+func StatsFor(wl string, procs int, mode, transport string, rep *must.Report) RunStats {
 	return RunStats{
 		Workload:         wl,
 		Procs:            procs,
 		Mode:             mode,
 		Transport:        transport,
-		Batch:            batch,
 		Verdict:          rep.Verdict.String(),
 		Deadlock:         rep.Deadlock,
 		PotentialOnly:    rep.PotentialOnly,

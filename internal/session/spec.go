@@ -110,8 +110,6 @@ type Spec struct {
 	Rendezvous bool `json:"rendezvous,omitempty"`
 	// PreferWaitState prioritizes wait-state messages on tool nodes.
 	PreferWaitState bool `json:"prefer_waitstate,omitempty"`
-	// NoBatch disables hot-path batching (equivalence testing).
-	NoBatch bool `json:"no_batch,omitempty"`
 	// TrackCallSites records call sites so reports point at source lines.
 	TrackCallSites bool `json:"sites,omitempty"`
 	// LinkDelay injects a per-message delay on tool-internal links.
@@ -127,10 +125,8 @@ type Spec struct {
 	// records verdict agreement/deviations. Distributed mode only.
 	Differential bool `json:"differential,omitempty"`
 	// MemBudget bounds resident tool-plane buffer bytes per process:
-	// 0 (the default) applies the generous must.DefaultMemBudget, -1
-	// disables governance entirely (legacy unbounded behavior, for A/B
-	// equivalence runs), and a positive value is the budget in bytes.
-	// Distributed mode only.
+	// 0 (the default) applies the generous must.DefaultMemBudget, and a
+	// positive value is the budget in bytes. Distributed mode only.
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// Deadline bounds the whole session; past it the run is canceled and
 	// the session ends in state canceled/"deadline exceeded". 0 uses the
@@ -216,8 +212,8 @@ func (s *Spec) Validate() error {
 	if (s.Engine != "" || s.Differential) && s.Mode == "centralized" {
 		return fmt.Errorf("spec: engine selection and differential mode require distributed mode")
 	}
-	if s.MemBudget < -1 {
-		return fmt.Errorf("spec: bad mem_budget %d: want -1 (unbounded), 0 (default), or a positive byte count", s.MemBudget)
+	if s.MemBudget < 0 {
+		return fmt.Errorf("spec: bad mem_budget %d: want 0 (default) or a positive byte count", s.MemBudget)
 	}
 	if s.MemBudget > 0 && s.Mode == "centralized" {
 		return fmt.Errorf("spec: mem_budget requires distributed mode (the centralized tool has no tool plane to govern)")
@@ -290,22 +286,10 @@ func (s *Spec) Options() (must.Options, error) {
 		WatchdogQuiet:    time.Duration(s.WatchdogQuiet),
 		Engine:           s.Engine,
 		Differential:     s.Differential,
-	}
-	// MemBudget semantics: 0 = the generous default, -1 = governance off,
-	// positive = bytes. The library-level zero (no governance) is reached
-	// only through the explicit -1, so API tenants are governed by default.
-	switch {
-	case s.MemBudget == 0:
-		opts.MemBudget = must.DefaultMemBudget
-	case s.MemBudget > 0:
-		opts.MemBudget = s.MemBudget
-	}
-	if s.NoBatch {
-		opts.Batch = must.BatchOff
+		MemBudget:        s.MemBudget,
 	}
 	if s.Mode == "centralized" {
 		opts.Mode = must.Centralized
-		opts.MemBudget = 0 // no tool plane to govern
 	}
 	if f := s.Fault; f != nil {
 		plan := &must.FaultPlan{Seed: f.Seed, JournalCap: f.JournalCap}

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
-
-	"dwst/must"
 )
 
 func TestDurationJSONRoundTrip(t *testing.T) {
@@ -80,6 +78,8 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown engine", func(s *Spec) { s.Engine = "magic" }, true},
 		{"centralized rejects engine", func(s *Spec) { s.Mode = "centralized"; s.Engine = "cmh" }, true},
 		{"centralized rejects differential", func(s *Spec) { s.Mode = "centralized"; s.Differential = true }, true},
+		{"positive mem_budget", func(s *Spec) { s.MemBudget = 1 << 20 }, false},
+		{"mem_budget -1 no longer means unbounded", func(s *Spec) { s.MemBudget = -1 }, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -96,7 +96,7 @@ func TestSpecValidate(t *testing.T) {
 func TestSpecOptionsMapsFaultPlan(t *testing.T) {
 	no := false
 	s := Spec{
-		Workload: "recvrecv", Procs: 8, FanIn: 2, NoBatch: true,
+		Workload: "recvrecv", Procs: 8, FanIn: 2, MemBudget: 1 << 20,
 		Timeout: Duration(10 * time.Millisecond),
 		Fault: &FaultSpec{
 			Seed: 7, Drop: 0.25, JitterMax: Duration(time.Millisecond),
@@ -110,8 +110,8 @@ func TestSpecOptionsMapsFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Batch != must.BatchOff {
-		t.Error("NoBatch did not map to BatchOff")
+	if opts.MemBudget != 1<<20 {
+		t.Errorf("mem_budget mapped to %d, want %d", opts.MemBudget, 1<<20)
 	}
 	p := opts.Fault
 	if p == nil {
@@ -182,7 +182,7 @@ func TestSessionDifferentialStats(t *testing.T) {
 	if st == nil || !st.Deadlock {
 		t.Fatalf("stats = %+v", st)
 	}
-	for _, e := range []string{"wfg", "cmh", "twocycle", "static"} {
+	for _, e := range []string{"wfg", "cmh", "static"} {
 		if _, ok := st.EngineVerdicts[e]; !ok {
 			t.Fatalf("engine %s missing from stats verdicts %v", e, st.EngineVerdicts)
 		}

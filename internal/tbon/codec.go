@@ -53,7 +53,6 @@ type wireWelcome struct {
 	FanIn       int
 	EventBuf    int
 	Workers     int
-	Batch       bool
 	PreferWS    bool
 	LinkDelay   time.Duration
 
@@ -61,7 +60,7 @@ type wireWelcome struct {
 	Budget    time.Duration
 
 	// MemBudget is the tool-plane byte budget each worker process applies
-	// to its own buffers (see Config.MemBudget); 0 = governance off.
+	// to its own buffers (see Config.MemBudget).
 	MemBudget int64
 
 	// LeafGids maps first-layer index to current global id. The two drift

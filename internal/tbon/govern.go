@@ -30,9 +30,9 @@ package tbon
 // rank-event window (fab.win) is the per-link instance of the same credit
 // mechanism; the governor adds the global byte-denominated one.
 //
-// A budget of 0 disables all of this: no governor is allocated, no charge
-// sites execute, and behavior is bit-identical to the ungoverned tool —
-// the A/B equivalence contract the chaos suites pin down.
+// Every tree is governed. A zero Config.MemBudget selects DefaultMemBudget;
+// an "unbounded" tool is just one with a very large budget, not a separate
+// code path.
 
 import (
 	"sync"
@@ -62,7 +62,7 @@ var govClassNames = [govClasses]string{"up", "down", "peer", "wire"}
 // admissions that found the budget already exhausted — for the honest
 // overload verdict.
 type governor struct {
-	budget int64 // bytes; always > 0 (nil governor = unbounded)
+	budget int64 // bytes; always > 0
 	hi     int64 // gate engages at used >= hi
 	lo     int64 // gate reopens at used <= lo
 
@@ -81,9 +81,6 @@ type governor struct {
 }
 
 func newGovernor(budget int64) *governor {
-	if budget <= 0 {
-		return nil
-	}
 	return &governor{budget: budget, hi: budget / 4 * 3, lo: budget / 2}
 }
 
@@ -122,9 +119,6 @@ func (g *governor) release(class int, n int64) {
 	}
 }
 
-// chargeWire/releaseWire account raw wire-buffer bytes (sendq) without the
-// per-message depth bookkeeping: a sendq slot is a frame, and its depth
-// high-water is tracked in frames like the queue classes.
 func (g *governor) engage() {
 	g.mu.Lock()
 	if g.gate == nil {
@@ -176,7 +170,7 @@ func (g *governor) gateEngaged() bool {
 // GovernorStats is a point-in-time snapshot of one process's tool-plane
 // resource accounting.
 type GovernorStats struct {
-	// Budget is the configured byte budget (0 = governance off).
+	// Budget is the configured byte budget.
 	Budget int64
 	// Used and HighWater are resident data-lane bytes: current, and the
 	// run's maximum.

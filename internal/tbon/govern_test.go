@@ -58,10 +58,20 @@ func TestMsgCostBatchAndFrames(t *testing.T) {
 	}
 }
 
-func TestGovernorHysteresisAndOverflow(t *testing.T) {
-	if g := newGovernor(0); g != nil {
-		t.Fatal("budget 0 must produce a nil governor")
+// TestZeroBudgetIsDefault: every tree is governed; a zero MemBudget
+// selects DefaultMemBudget rather than turning accounting off.
+func TestZeroBudgetIsDefault(t *testing.T) {
+	tr := New(Config{Leaves: 4, FanIn: 2})
+	defer tr.Stop()
+	if got := tr.GovStats().Budget; got != DefaultMemBudget {
+		t.Fatalf("zero-config budget %d, want DefaultMemBudget %d", got, DefaultMemBudget)
 	}
+	if tr.cfg.MemBudget != DefaultMemBudget {
+		t.Fatalf("Config.MemBudget not resolved: %d", tr.cfg.MemBudget)
+	}
+}
+
+func TestGovernorHysteresisAndOverflow(t *testing.T) {
 	g := newGovernor(1000) // hi=750, lo=500
 	g.charge(govUp, 700)
 	if g.gateEngaged() {
@@ -186,15 +196,5 @@ func TestSendqByteCapOverflowCut(t *testing.T) {
 	}
 	if ov := g.overflow.Load(); ov != 1 {
 		t.Fatalf("overflow %d, want 1", ov)
-	}
-
-	// Uncapped queue (governance off) never cuts.
-	sq2 := newSendq(nil, 0)
-	sq2.onFull = func(net.Conn) { t.Error("uncapped sendq fired the cut") }
-	sq2.attach(c1)
-	sq2.push(make([]byte, 1000))
-	sq2.push(make([]byte, 1000))
-	if sq2.bytes != 2000 {
-		t.Fatalf("uncapped queued bytes %d, want 2000", sq2.bytes)
 	}
 }

@@ -74,13 +74,13 @@ type Config struct {
 	// tool nodes). Per-link FIFO order is preserved; messages on one link
 	// are serialized delay apart.
 	LinkDelay time.Duration
-	// Batch enables hot-path batching: queue pumps deliver a slab of all
-	// due messages per wakeup instead of one envelope per channel op, node
-	// loops drain already-queued rank events opportunistically, and the
-	// reliable transport acknowledges once per slab instead of once per
-	// frame. Handlers implementing Flusher are flushed at the end of every
-	// delivery cycle. Off by default: direct tbon users get the one-message-
-	// per-op behavior; the tool layer turns it on (see core.Config.NoBatch).
+	// Batch is ignored: hot-path batching is how the tree always works.
+	// Queue pumps deliver a slab of all due messages per wakeup, node loops
+	// drain already-queued rank events opportunistically, the reliable
+	// transport acknowledges once per delivery cycle, and handlers
+	// implementing Flusher are flushed at the end of every cycle.
+	//
+	// Deprecated: batching is unconditional; the field has no effect.
 	Batch bool
 	// Fault, when non-nil, activates the fault plane: link faults per the
 	// plan's rules, scheduled node crashes, heartbeat supervision, and —
@@ -102,14 +102,21 @@ type Config struct {
 	// journal replay (fault plan with Recover). The argument is the
 	// replacement node; OnNodeDown is NOT called for recovered nodes.
 	OnNodeRecovered func(n *Node)
-	// MemBudget, when positive, bounds the resident bytes of the tool-plane
-	// buffers (queue pumps and TCP send buffers) in this process: data-lane
-	// traffic is byte-accounted against the budget and backpressure is
-	// applied at the rank → leaf intake, while control-lane traffic
-	// (heartbeats, snapshot/epoch control, supervision) is always admitted
-	// free — see govern.go. 0 keeps the historical unbounded behavior.
+	// MemBudget bounds the resident bytes of the tool-plane buffers (queue
+	// pumps and TCP send buffers) in this process: data-lane traffic is
+	// byte-accounted against the budget and backpressure is applied at the
+	// rank → leaf intake, while control-lane traffic (heartbeats,
+	// snapshot/epoch control, supervision) is always admitted free — see
+	// govern.go. Zero (or negative) means DefaultMemBudget.
 	MemBudget int64
 }
+
+// DefaultMemBudget is the tool-plane byte budget a tree applies when
+// Config.MemBudget is zero. Generous — far above anything the paper's
+// workloads or the chaos suites need — yet still a hard per-process
+// ceiling, so a pinned link degrades a run honestly instead of growing the
+// tool without limit.
+const DefaultMemBudget int64 = 256 << 20
 
 // Handler is the per-node tool logic. All methods run on the node's
 // goroutine.
@@ -129,11 +136,10 @@ type Handler interface {
 }
 
 // RankEventHandler is an optional Handler extension for first-layer
-// handlers: when it is implemented and batching is on, typed injections
-// (InjectEvent) are delivered through FromRankEvent without boxing the
-// event into an interface — the dominant per-event allocation on the hot
-// path. Without it, or with batching off, typed injections fall back to
-// FromRank with the historical boxed payload.
+// handlers: when it is implemented, typed injections (InjectEvent) are
+// delivered through FromRankEvent without boxing the event into an
+// interface — the dominant per-event allocation on the hot path. Without
+// it, typed injections fall back to FromRank with a boxed payload.
 type RankEventHandler interface {
 	FromRankEvent(rank int, ev event.Event)
 }
@@ -207,17 +213,13 @@ func putSlab(s *slab) {
 // permanently; a pump goroutine feeds the consumer channel in order. The
 // pump drains the intake eagerly — fault delays and stalls gate delivery,
 // never admission, so a stalled link cannot block its senders. Delivery is
-// in slabs of up to maxBatch due messages per channel op (maxBatch 1
-// reproduces the one-envelope-per-op behavior exactly).
+// in slabs of up to maxSlab due messages per channel op.
 type queue struct {
 	in  chan envelope
 	out chan *slab
 }
 
-func newQueue(quit <-chan struct{}, wg *sync.WaitGroup, delay time.Duration, fl *fault.Link, maxBatch int, gov *governor, class int) *queue {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
+func newQueue(quit <-chan struct{}, wg *sync.WaitGroup, delay time.Duration, fl *fault.Link, gov *governor, class int) *queue {
 	q := &queue{in: make(chan envelope, 64), out: make(chan *slab, 16)}
 	wg.Add(1)
 	go func() {
@@ -235,9 +237,6 @@ func newQueue(quit <-chan struct{}, wg *sync.WaitGroup, delay time.Duration, fl 
 		// consumer has processed it, so the charge covers the whole
 		// residence (buf, ready slab, out channel).
 		charge := func(e envelope, copies int) {
-			if gov == nil {
-				return
-			}
 			if c := envCost(e.msg); c > 0 {
 				for i := 0; i < copies; i++ {
 					gov.charge(class, c)
@@ -311,7 +310,7 @@ func newQueue(quit <-chan struct{}, wg *sync.WaitGroup, delay time.Duration, fl 
 			if len(buf) > 0 {
 				now := time.Now()
 				due := 0
-				for due < len(buf) && due < maxBatch && !buf[due].due.After(now) {
+				for due < len(buf) && due < maxSlab && !buf[due].due.After(now) {
 					due++
 				}
 				if due > 0 {
@@ -403,8 +402,7 @@ type Node struct {
 
 	handler Handler
 	// flusher and rankHandler cache the handler's optional extensions (set
-	// alongside handler, before the loop starts). rankHandler is non-nil
-	// only with batching on: off reproduces the boxed legacy delivery.
+	// alongside handler, before the loop starts).
 	flusher     Flusher
 	rankHandler RankEventHandler
 
@@ -413,10 +411,9 @@ type Node struct {
 	rsq map[linkKey]*reseq
 
 	// ackPend accumulates the per-link cumulative acknowledgements of one
-	// delivery cycle, flushed in one transport pass at cycle end (batching
-	// with reliable transport only; nil means every frame acks immediately).
-	// ackKeys mirrors the map keys so the flush allocates nothing. Both are
-	// touched only by the node goroutine.
+	// delivery cycle, flushed in one transport pass at cycle end (allocated
+	// on the first reliable frame). ackKeys mirrors the map keys so the
+	// flush allocates nothing. Both are touched only by the node goroutine.
 	ackPend map[linkKey]uint64
 	ackKeys []linkKey
 
@@ -454,7 +451,7 @@ type Tree struct {
 	injector  *fault.Injector
 	transport *transport // nil unless the reliable link layer is active
 	net       *netFabric // nil unless the TCP fabric is active
-	gov       *governor  // nil unless Config.MemBudget > 0
+	gov       *governor
 	gidIndex  map[int]*Node
 
 	// nextGid hands out fresh global ids to respawned replacement nodes
@@ -524,6 +521,9 @@ func NewNet(cfg Config) (*Tree, error) {
 		}
 		return layer == 0 && ownerOfLeaf(idx, width0, nc.Workers) == nc.Worker
 	}
+	if cfg.MemBudget <= 0 {
+		cfg.MemBudget = DefaultMemBudget
+	}
 	t := &Tree{cfg: cfg, quit: make(chan struct{})}
 	t.gov = newGovernor(cfg.MemBudget)
 	if cfg.Fault != nil {
@@ -552,14 +552,14 @@ func NewNet(cfg Config) (*Tree, error) {
 				respawned: make(chan struct{}),
 			}
 			if n.local {
-				n.fromBelow = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(gid, fault.UpLink), t.slabCap(), t.gov, govUp)
-				n.fromAbove = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(gid, fault.DownLink), t.slabCap(), t.gov, govDown)
+				n.fromBelow = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(gid, fault.UpLink), t.gov, govUp)
+				n.fromAbove = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(gid, fault.DownLink), t.gov, govDown)
 			}
 			gid++
 			if layer == 0 {
 				if n.local {
 					n.events = make(chan rankEnvelope, cfg.EventBuf)
-					n.fromPeer = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(n.gid, fault.PeerLink), t.slabCap(), t.gov, govPeer)
+					n.fromPeer = newQueue(t.quit, &t.wg, cfg.LinkDelay, t.faultLink(n.gid, fault.PeerLink), t.gov, govPeer)
 				}
 			} else {
 				lo := i * cfg.FanIn
@@ -621,27 +621,10 @@ func NewNet(cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// slabCap is the per-wakeup delivery batch for the tree's queues: maxSlab
-// with batching, 1 (one envelope per channel op, the historical behavior)
-// without.
-func (t *Tree) slabCap() int {
-	if t.cfg.Batch {
-		return maxSlab
-	}
-	return 1
-}
-
-// arm finishes a node's handler wiring before its loop starts: the cached
-// Flusher and, when batching rides the reliable transport, the per-cycle
-// acknowledgement accumulator.
-func (t *Tree) arm(n *Node) {
+// arm caches a node's optional handler extensions before its loop starts.
+func (n *Node) arm() {
 	n.flusher, _ = n.handler.(Flusher)
-	if t.cfg.Batch {
-		n.rankHandler, _ = n.handler.(RankEventHandler)
-	}
-	if t.cfg.Batch && t.transport != nil {
-		n.ackPend = make(map[linkKey]uint64)
-	}
+	n.rankHandler, _ = n.handler.(RankEventHandler)
 }
 
 // Start launches one goroutine per node (plus, with a fault plan, the
@@ -656,7 +639,7 @@ func (t *Tree) Start(mkHandler func(n *Node) Handler) {
 					continue // remote nodes run in their own process
 				}
 				n.handler = mkHandler(n)
-				t.arm(n)
+				n.arm()
 			}
 		}
 		for _, layer := range t.layers {
@@ -716,9 +699,8 @@ func (t *Tree) InjectQuiet(rank int, ev any) error {
 
 // InjectEvent delivers an application event like Inject, but typed: the
 // event reaches a RankEventHandler without ever being boxed into an
-// interface, making the batched intake allocation-free per event. With
-// batching off (or a plain Handler) the event is delivered boxed through
-// FromRank, byte-identical to the legacy path.
+// interface, making the intake allocation-free per event. A plain Handler
+// receives the event boxed through FromRank.
 func (t *Tree) InjectEvent(rank int, ev event.Event) error {
 	return t.inject(rank, rankEnvelope{ev: ev, typed: true})
 }
@@ -751,10 +733,8 @@ func (t *Tree) inject(rank int, env rankEnvelope) error {
 		// the global, byte-denominated analogue of the bounded events
 		// channel below. Quiet (watchdog) injections bypass the gate so
 		// liveness probes keep flowing through an overloaded tree.
-		if g := t.gov; g != nil && !env.quiet {
-			if !g.admitIntake(n.dead, t.quit) {
-				return ErrStopped
-			}
+		if !env.quiet && !t.gov.admitIntake(n.dead, t.quit) {
+			return ErrStopped
 		}
 		select {
 		case n.events <- env:
@@ -838,23 +818,15 @@ func (t *Tree) Abandoned() uint64 {
 func (t *Tree) Recoveries() uint64 { return t.recoveries.Load() }
 
 // GovStats returns a snapshot of this process's tool-plane resource
-// accounting (zero value when governance is off, Config.MemBudget == 0).
-// On a TCP-fabric coordinator it covers only coordinator-local buffers;
-// the workers' accounting arrives in their WorkerFinal reports.
-func (t *Tree) GovStats() GovernorStats {
-	if t.gov == nil {
-		return GovernorStats{}
-	}
-	return t.gov.stats()
-}
+// accounting. On a TCP-fabric coordinator it covers only coordinator-local
+// buffers; the workers' accounting arrives in their WorkerFinal reports.
+func (t *Tree) GovStats() GovernorStats { return t.gov.stats() }
 
 // Overloaded reports whether the resource governor observed budget
 // overflow: backpressure alone could not keep resident tool-plane bytes
 // under Config.MemBudget (typically a fault-stalled or dead link pinning
-// buffered frames). Always false with governance off.
-func (t *Tree) Overloaded() bool {
-	return t.gov != nil && t.gov.overflow.Load() > 0
-}
+// buffered frames).
+func (t *Tree) Overloaded() bool { return t.gov.overflow.Load() > 0 }
 
 // FirstLayer returns the first tool layer.
 func (t *Tree) FirstLayer() []*Node { return t.layers[0] }
@@ -1104,11 +1076,9 @@ func (n *Node) dispatchSlab(s *slab, class int, fn func(envelope)) {
 	for _, env := range s.envs {
 		fn(env)
 	}
-	if g := n.tree.gov; g != nil {
-		for _, env := range s.envs {
-			if c := envCost(env.msg); c > 0 {
-				g.release(class, c)
-			}
+	for _, env := range s.envs {
+		if c := envCost(env.msg); c > 0 {
+			n.tree.gov.release(class, c)
 		}
 	}
 	putSlab(s)
@@ -1123,8 +1093,7 @@ func (n *Node) dispatchRank(env rankEnvelope) {
 			n.rankHandler.FromRankEvent(env.from, env.ev)
 			return
 		}
-		// Batching off, or a handler without the typed extension: box at
-		// delivery, the historical per-event shape.
+		// A handler without the typed extension: box at delivery.
 		n.handler.FromRank(env.from, env.ev)
 		return
 	}
@@ -1140,11 +1109,8 @@ const maxEventDrain = 16
 
 // drainEvents opportunistically consumes rank events already sitting in
 // the mailbox so one cycle (and one coalescing flush) covers them all.
-// Bounded so the node stays responsive to its other inputs; batching only.
+// Bounded so the node stays responsive to its other inputs.
 func (n *Node) drainEvents() {
-	if !n.tree.cfg.Batch {
-		return
-	}
 	for i := 1; i < maxEventDrain; i++ {
 		select {
 		case env := <-n.events:

@@ -473,15 +473,12 @@ func (tr *transport) run() {
 	}
 }
 
-// ackTo records or issues one cumulative acknowledgement. With batching,
-// the node accumulates the per-link maximum and flushAcks trims each
-// sender outbox once per delivery cycle instead of once per frame; without
-// (ackPend nil — batching off, or a bare Node in tests), the ack happens
-// immediately, the historical behavior.
-func (n *Node) ackTo(tr *transport, key linkKey, upTo uint64) {
+// ackTo records one cumulative acknowledgement: the node accumulates the
+// per-link maximum and flushAcks trims each sender outbox once per
+// delivery cycle instead of once per frame.
+func (n *Node) ackTo(key linkKey, upTo uint64) {
 	if n.ackPend == nil {
-		tr.ack(key, upTo)
-		return
+		n.ackPend = make(map[linkKey]uint64)
 	}
 	cur, ok := n.ackPend[key]
 	if !ok {
@@ -532,7 +529,7 @@ func (n *Node) deliver(env envelope, dispatch func(envelope)) {
 	if f.seq < rs.expected {
 		// Stale duplicate (e.g. a retransmission that crossed its ack):
 		// re-acknowledge so the sender outbox drains.
-		n.ackTo(tr, f.key, rs.expected-1)
+		n.ackTo(f.key, rs.expected-1)
 		return
 	}
 	if _, dup := rs.buf[f.seq]; dup {
@@ -549,6 +546,6 @@ func (n *Node) deliver(env envelope, dispatch func(envelope)) {
 		dispatch(envelope{from: e.from, msg: e.msg.(frame).msg})
 	}
 	if rs.expected > 0 {
-		n.ackTo(tr, f.key, rs.expected-1)
+		n.ackTo(f.key, rs.expected-1)
 	}
 }

@@ -177,7 +177,7 @@ type sendq struct {
 	closed bool
 
 	gov      *governor
-	maxBytes int64          // 0 = unbounded (governance off)
+	maxBytes int64          // overflow cut threshold
 	onFull   func(net.Conn) // overflow cut; set once before any push
 }
 
@@ -190,10 +190,8 @@ func newSendq(gov *governor, maxBytes int64) *sendq {
 // dropLocked discards the queued frames, returning their bytes to the
 // budget. Callers hold s.mu.
 func (s *sendq) dropLocked() {
-	if s.gov != nil {
-		for _, b := range s.q {
-			s.gov.release(govWire, int64(len(b)))
-		}
+	for _, b := range s.q {
+		s.gov.release(govWire, int64(len(b)))
 	}
 	s.q = nil
 	s.bytes = 0
@@ -206,23 +204,19 @@ func (s *sendq) push(b []byte) {
 		// Overflow cut only with frames already queued: a single frame
 		// larger than the cap must still be acceptable on an empty queue,
 		// or the retransmitter would cut the fresh connection forever.
-		if s.maxBytes > 0 && len(s.q) > 0 && s.bytes+int64(len(b)) > s.maxBytes {
+		if len(s.q) > 0 && s.bytes+int64(len(b)) > s.maxBytes {
 			overflowConn = s.conn
 			s.dropLocked()
 		} else {
 			s.q = append(s.q, b)
 			s.bytes += int64(len(b))
-			if s.gov != nil {
-				s.gov.charge(govWire, int64(len(b)))
-			}
+			s.gov.charge(govWire, int64(len(b)))
 			s.cond.Signal()
 		}
 	}
 	s.mu.Unlock()
 	if overflowConn != nil {
-		if s.gov != nil {
-			s.gov.overflow.Add(1)
-		}
+		s.gov.overflow.Add(1)
 		if s.onFull != nil {
 			s.onFull(overflowConn)
 		}
@@ -292,10 +286,8 @@ func (s *sendq) pop() (net.Conn, [][]byte) {
 		}
 		if s.up && len(s.q) > 0 {
 			batch := s.q
-			if s.gov != nil {
-				for _, b := range batch {
-					s.gov.release(govWire, int64(len(b)))
-				}
+			for _, b := range batch {
+				s.gov.release(govWire, int64(len(b)))
 			}
 			s.q = nil
 			s.bytes = 0
@@ -401,15 +393,8 @@ func (t *Tree) startNet() error {
 		fab.leafGids[i] = n.gid
 		fab.gidLeaf[n.gid] = i
 	}
-	// With governance on, each connection's outbound queue gets a slice of
-	// the global budget; without, the historical unbounded sendq.
-	var wireCap int64
-	if t.gov != nil {
-		wireCap = t.gov.budget / 4
-		if wireCap < 1<<20 {
-			wireCap = 1 << 20
-		}
-	}
+	// Each connection's outbound queue gets a slice of the global budget.
+	wireCap := max(t.gov.budget/4, 1<<20)
 	switch nc.Role {
 	case NetCoordinator:
 		addr := nc.Listen

@@ -129,7 +129,6 @@ func (fab *netFabric) welcome(inc uint64) wireWelcome {
 		FanIn:       cfg.FanIn,
 		EventBuf:    cfg.EventBuf,
 		Workers:     fab.nc.Workers,
-		Batch:       cfg.Batch,
 		PreferWS:    cfg.PreferWaitState,
 		LinkDelay:   cfg.LinkDelay,
 		KeepAlive:   fab.nc.keepAlive(),

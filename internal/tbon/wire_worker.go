@@ -42,7 +42,6 @@ func (ws *WorkerSession) TreeConfig() Config {
 		EventBuf:        w.EventBuf,
 		PreferWaitState: w.PreferWS,
 		LinkDelay:       w.LinkDelay,
-		Batch:           w.Batch,
 		MemBudget:       w.MemBudget,
 		Net: &NetConfig{
 			Role:      NetWorker,
@@ -401,14 +400,12 @@ func (t *Tree) ServeWorker() error {
 			BytesOnWire: fab.bytesOut.Load() + fab.bytesIn.Load(),
 			CodecErrors: fab.codecErrors.Load(),
 		}
-		if t.gov != nil {
-			gs := t.gov.stats()
-			fin.MemHighWater = gs.HighWater
-			fin.OverflowEvents = gs.Overflow
-			fin.GatedWaits = gs.Gated
-			fin.QueueDepthHW = gs.QueueDepthHW
-			fin.QueueBytesHW = gs.QueueBytesHW
-		}
+		gs := t.gov.stats()
+		fin.MemHighWater = gs.HighWater
+		fin.OverflowEvents = gs.Overflow
+		fin.GatedWaits = gs.Gated
+		fin.QueueDepthHW = gs.QueueDepthHW
+		fin.QueueBytesHW = gs.QueueBytesHW
 		if fab.nc.FinalStats != nil {
 			fin.MsgStats, fin.WindowHighWater = fab.nc.FinalStats()
 		}
@@ -558,10 +555,8 @@ func (t *Tree) injectRemote(n *Node, env rankEnvelope) error {
 	// Global governor backpressure first (byte-denominated, whole-tree),
 	// then the per-leaf frame window — two instances of the same credit
 	// mechanism at different granularities (see govern.go).
-	if g := t.gov; g != nil && !env.quiet {
-		if !g.admitIntake(n.dead, t.quit) {
-			return ErrStopped
-		}
+	if !env.quiet && !t.gov.admitIntake(n.dead, t.quit) {
+		return ErrStopped
 	}
 	select {
 	case fab.win[n.index] <- struct{}{}:

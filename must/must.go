@@ -33,6 +33,7 @@ import (
 	"dwst/internal/engine"
 	"dwst/internal/fault"
 	"dwst/internal/mpisim"
+	"dwst/internal/tbon"
 	"dwst/mpi"
 )
 
@@ -86,27 +87,18 @@ const (
 	Centralized
 )
 
-// Batching selects hot-path batching on the TBON: slab delivery on tool
-// queues, per-destination coalescing of wait-state messages, and slab-level
-// transport acknowledgements. The zero value is BatchOn — batching is the
-// default; BatchOff ships every message as its own envelope, kept available
-// for equivalence testing and bisection. Distributed mode only.
+// Batching once selected hot-path batching on the TBON: slab delivery on
+// tool queues, per-destination coalescing of wait-state messages, and
+// slab-level transport acknowledgements. Batching is now how the TBON
+// always works.
+//
+// Deprecated: batching is unconditional; Options.Batch is ignored.
 type Batching int
 
-const (
-	// BatchOn enables hot-path batching (the default).
-	BatchOn Batching = iota
-	// BatchOff disables batching: one envelope per message, one ack per
-	// frame — the pre-batching behavior.
-	BatchOff
-)
-
-func (b Batching) String() string {
-	if b == BatchOff {
-		return "off"
-	}
-	return "on"
-}
+// BatchOn is the zero Batching value.
+//
+// Deprecated: batching is unconditional; Options.Batch is ignored.
+const BatchOn Batching = 0
 
 // PanicError re-exports mpisim.PanicError: the abort cause when a rank's
 // program panicked. The simulator contains the panic to its own run, so an
@@ -115,14 +107,12 @@ func (b Batching) String() string {
 // Report.AbortCause.
 type PanicError = mpisim.PanicError
 
-// DefaultMemBudget is the tool-plane byte budget the command-line tools
-// apply per process when governance is not explicitly configured: generous
-// enough that healthy runs never approach it (the high-water of the paper's
-// workloads is orders of magnitude below), small enough that a pinned link
-// under an event storm degrades the run long before the OS would kill the
-// process. Library embedders opt in by setting Options.MemBudget — the
-// zero-value Options stays byte-identical to the ungoverned tool.
-const DefaultMemBudget int64 = 256 << 20
+// DefaultMemBudget is the tool-plane byte budget a distributed run applies
+// per process when Options.MemBudget is zero: generous enough that healthy
+// runs never approach it (the high-water of the paper's workloads is orders
+// of magnitude below), small enough that a pinned link under an event storm
+// degrades the run long before the OS would kill the process.
+const DefaultMemBudget = tbon.DefaultMemBudget
 
 // Options configures a tool run.
 type Options struct {
@@ -162,7 +152,9 @@ type Options struct {
 	// flagged Stalled. Zero (the default) disables the watchdog and its
 	// heartbeat traffic entirely. Distributed mode only.
 	WatchdogQuiet time.Duration
-	// Batch selects hot-path batching (default BatchOn; see Batching).
+	// Batch selected hot-path batching (see Batching).
+	//
+	// Deprecated: batching is unconditional; the field is ignored.
 	Batch Batching
 	// Engine selects the verdict engine at the detection root: "" or "wfg"
 	// (the reference WFG release fixpoint), "cmh" (Chandy–Misra–Haas
@@ -181,17 +173,15 @@ type Options struct {
 	// the first tool layer. Distributed mode only; mutually exclusive with
 	// Fault — over real sockets the adversary is the wire.
 	Net *NetOptions
-	// MemBudget, when positive, bounds resident tool-plane buffer bytes per
-	// process: dws data traffic is byte-accounted across the tool's
+	// MemBudget bounds resident tool-plane buffer bytes per process: dws
+	// data traffic is byte-accounted across the tool's
 	// internal queues (and TCP send buffers), backpressure propagates to
 	// the rank → tool intake when buffers approach the budget, and genuine
 	// exhaustion (a stalled link pinning frames) degrades the run honestly
 	// — Report.Overloaded + Partial — instead of growing without limit.
 	// Control traffic (heartbeats, snapshot/epoch control, supervision) is
-	// never charged or gated, so supervision cannot be starved. 0 (the
-	// default here) keeps the historical unbounded behavior; embedders that
-	// want governance without tuning use DefaultMemBudget. Distributed
-	// mode only.
+	// never charged or gated, so supervision cannot be starved. Zero (the
+	// default) means DefaultMemBudget. Distributed mode only.
 	MemBudget int64
 
 	// TrackCallSites records the application source line of every MPI call
@@ -277,8 +267,7 @@ type Report struct {
 	WatchdogFires int
 
 	// EngineVerdicts maps each detection engine that ran to its verdict
-	// string ("none", "deadlock", …, or "inapplicable"/"inconclusive"/
-	// "error: …"), merged over all detection rounds plus the static
+	// string ("none", "deadlock", …, or "inapplicable"/"error: …"), merged over all detection rounds plus the static
 	// pre-run pass. Nil unless Options.Engine or Options.Differential
 	// asked for extra engines.
 	EngineVerdicts map[string]string
@@ -341,8 +330,9 @@ type Report struct {
 	ShippedJournalEntries uint64
 	RespawnBackoff        time.Duration
 
-	// Resource-governance accounting (zero unless Options.MemBudget > 0).
-	// MemBudget echoes the configured budget; MemHighWater is the peak
+	// Resource-governance accounting (distributed mode). MemBudget echoes
+	// the budget in force (DefaultMemBudget for a zero
+	// Options.MemBudget); MemHighWater is the peak
 	// resident tool-plane buffer bytes of any single process.
 	// OverflowEvents counts budget-exhausted admissions and GatedWaits the
 	// intake admissions that had to wait for backpressure. QueueDepthHW /
@@ -452,7 +442,6 @@ func Run(procs int, prog mpi.Program, opts Options) *Report {
 		Fault:                    opts.Fault,
 		SnapshotDeadline:         opts.SnapshotDeadline,
 		WatchdogQuiet:            opts.WatchdogQuiet,
-		NoBatch:                  opts.Batch == BatchOff,
 		MemBudget:                opts.MemBudget,
 		Engine:                   opts.Engine,
 		Differential:             opts.Differential,
@@ -555,7 +544,7 @@ func Run(procs int, prog mpi.Program, opts Options) *Report {
 // program than the recorder did.
 func staticDeviation(rep *Report, static *engine.Finding, opts Options) string {
 	if static.Err != nil {
-		if errors.Is(static.Err, engine.ErrInapplicable) || errors.Is(static.Err, engine.ErrInconclusive) {
+		if errors.Is(static.Err, engine.ErrInapplicable) {
 			return ""
 		}
 		return fmt.Sprintf("static: error: %v", static.Err)
