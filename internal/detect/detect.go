@@ -9,6 +9,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -153,6 +154,7 @@ type Root struct {
 	p          int
 	firstLayer int
 	coll       *collmatch.Root
+	world      []int // ranks 0..p-1, the fallback group of groupOrWorld
 
 	phase       phase
 	epoch       int // snapshot attempt counter (first attempt = 1)
@@ -202,10 +204,15 @@ const (
 // NewRoot creates the root state for p ranks and the given number of
 // first-layer nodes.
 func NewRoot(p, firstLayer int) *Root {
+	world := make([]int, p)
+	for i := range world {
+		world[i] = i
+	}
 	return &Root{
 		p:          p,
 		firstLayer: firstLayer,
 		coll:       collmatch.NewRoot(p, firstLayer),
+		world:      world,
 		deadNodes:  make(map[int][]int),
 		deadRanks:  make(map[int]int),
 		Results:    make(chan *Result, 4),
@@ -498,23 +505,29 @@ func (r *Root) analyze() *Result {
 	// expTargets records each blocked rank's fully expanded target list,
 	// for the failure-blocked reverse reachability below.
 	expTargets := map[int][]int{}
-	for _, e := range all {
+	// stamp[m] == mark: m is already a target of the entry being expanded.
+	// One rank-indexed array serves every entry, each under a fresh mark;
+	// targets keep their first-seen order, which the DOT output follows.
+	stamp := make([]int32, r.p)
+	for k, e := range all {
 		res.Entries[e.Rank] = e
 		res.Blocked = append(res.Blocked, e.Rank)
 		targets := append([]int(nil), e.Targets...)
 		if len(e.WildComms) > 0 || len(e.ResolvedSrcs) > 0 || e.IsColl {
-			seen := make(map[int]bool, len(targets)+4)
+			mark := int32(k + 1)
 			for _, t := range targets {
-				seen[t] = true
+				stamp[t] = mark
 			}
 			add := func(m int) {
-				if m != e.Rank && !seen[m] {
-					seen[m] = true
+				if m != e.Rank && stamp[m] != mark {
+					stamp[m] = mark
 					targets = append(targets, m)
 				}
 			}
 			for _, wc := range e.WildComms {
-				for _, m := range r.groupOrWorld(wc) {
+				grp := r.groupOrWorld(wc)
+				targets = slices.Grow(targets, len(grp))
+				for _, m := range grp {
 					add(m)
 				}
 			}
@@ -737,15 +750,12 @@ func failureBlocked(seeds []int, inDead map[int]bool, targets map[int][]int) []i
 
 // groupOrWorld returns the registry group, falling back to the full world
 // when the communicator is unknown (should not happen for sealed comms).
+// The result is shared; callers must not modify it.
 func (r *Root) groupOrWorld(c trace.CommID) []int {
 	if g := r.coll.Group(c); g != nil {
 		return g
 	}
-	world := make([]int, r.p)
-	for i := range world {
-		world[i] = i
-	}
-	return world
+	return r.world
 }
 
 // findUnexpectedMatches applies the Section 3.3 definition to the blocked

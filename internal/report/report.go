@@ -7,6 +7,7 @@ package report
 import (
 	"fmt"
 	"html/template"
+	"strconv"
 	"strings"
 
 	"dwst/internal/dws"
@@ -44,9 +45,22 @@ type Data struct {
 	StalledRanks []int
 }
 
-// DOT renders the wait-for graph of the given processes.
+// DOT renders the wait-for graph of the given processes (nil: every
+// blocked process). The builder is sized up front from the arc and process
+// counts, so the p²-arc wildcard rendering lands in one allocation.
 func DOT(g *wfg.Graph, procs []int) string {
+	nodes, arcs := g.NumProcs(), g.Arcs()
+	if procs != nil {
+		nodes, arcs = len(procs), 0
+		for _, p := range procs {
+			arcs += len(g.Targets(p))
+		}
+	}
+	// Per line: a node costs at most 40 bytes plus two rank numbers, an
+	// arc between two set members 10 plus two rank numbers.
+	digits := len(strconv.Itoa(g.NumProcs()))
 	var sb strings.Builder
+	sb.Grow(64 + nodes*(40+2*digits) + arcs*(10+2*digits))
 	if err := g.DOT(&sb, procs); err != nil {
 		return ""
 	}

@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"dwst/internal/waitstate"
@@ -56,72 +57,77 @@ type ClassGraph struct {
 // deadlocked set). Processes not in the set referenced as targets are kept
 // as explicit targets of their classes.
 func (g *Graph) Simplify(procs []int) *ClassGraph {
-	inSet := make(map[int]bool, len(procs))
-	for _, p := range procs {
-		inSet[p] = true
-	}
+	inSet := g.memberSet(procs)
 
-	signature := func(p int) string {
+	// allOthers: the targets are every other process of the set and
+	// nothing else. A one-process set has no other process, so its lone
+	// member never qualifies (an OR over ∅ is not "waits for all others").
+	allOthers := func(p int) bool {
 		ts := g.targets[p]
-		// all-others check: every other process of the set, nothing else.
-		if len(ts) == len(procs)-1 {
-			all := true
-			for _, t := range ts {
-				if !inSet[int(t)] || int(t) == p {
-					all = false
-					break
-				}
-			}
-			if all {
-				return fmt.Sprintf("%v|ALL-OTHERS", g.sem[p])
+		if len(procs) < 2 || len(ts) != len(procs)-1 {
+			return false
+		}
+		for _, t := range ts {
+			if !inSet[t] || int(t) == p {
+				return false
 			}
 		}
-		sorted := make([]int, len(ts))
-		for i, t := range ts {
-			sorted[i] = int(t)
-		}
-		sort.Ints(sorted)
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "%v|", g.sem[p])
-		for _, t := range sorted {
-			fmt.Fprintf(&sb, "%d,", t)
-		}
-		return sb.String()
+		return true
 	}
 
+	// A class's key is its semantics plus ALL-OTHERS or its sorted
+	// explicit targets.
 	classIdx := map[string]int{}
 	cg := &ClassGraph{Procs: len(procs)}
-	memberClass := make(map[int]int, len(procs))
+	memberClass := make([]int32, g.n)
+	for i := range memberClass {
+		memberClass[i] = -1
+	}
+	var key []byte
+	var sorted []int32
 	for _, p := range procs {
-		sig := signature(p)
-		idx, ok := classIdx[sig]
+		all := allOthers(p)
+		key = append(key[:0], byte(g.sem[p]))
+		if all {
+			key = append(key, "|ALL-OTHERS"...)
+		} else {
+			sorted = append(sorted[:0], g.targets[p]...)
+			slices.Sort(sorted)
+			key = append(key, '|')
+			for _, t := range sorted {
+				key = strconv.AppendInt(key, int64(t), 10)
+				key = append(key, ',')
+			}
+		}
+		idx, ok := classIdx[string(key)]
 		if !ok {
 			idx = len(cg.Classes)
-			classIdx[sig] = idx
-			c := Class{Sem: g.sem[p], AllOthers: strings.HasSuffix(sig, "ALL-OTHERS")}
-			if !c.AllOthers {
-				for _, t := range g.targets[p] {
-					c.Targets = append(c.Targets, int(t))
+			classIdx[string(key)] = idx
+			c := Class{Sem: g.sem[p], AllOthers: all}
+			if !all && len(sorted) > 0 {
+				c.Targets = make([]int, len(sorted))
+				for i, t := range sorted {
+					c.Targets[i] = int(t)
 				}
-				sort.Ints(c.Targets)
 			}
 			cg.Classes = append(cg.Classes, c)
 		}
 		cg.Classes[idx].Members = append(cg.Classes[idx].Members, p)
-		memberClass[p] = idx
+		memberClass[p] = int32(idx)
 	}
 	for i := range cg.Classes {
-		sort.Ints(cg.Classes[i].Members)
+		slices.Sort(cg.Classes[i].Members)
 	}
 
-	// Class-level arcs: distinct classes of the members' targets.
+	// Class-level arcs: distinct classes of the members' targets. seen[c]
+	// holds the index plus one of the last class that added an arc to c.
 	cg.Arcs = make([][]int, len(cg.Classes))
+	seen := make([]int32, len(cg.Classes))
 	for i, c := range cg.Classes {
-		seen := map[int]bool{}
 		addTarget := func(t int) {
-			if ci, ok := memberClass[t]; ok && !seen[ci] {
-				seen[ci] = true
-				cg.Arcs[i] = append(cg.Arcs[i], ci)
+			if ci := memberClass[t]; ci >= 0 && seen[ci] != int32(i+1) {
+				seen[ci] = int32(i + 1)
+				cg.Arcs[i] = append(cg.Arcs[i], int(ci))
 			}
 		}
 		if c.AllOthers {
@@ -138,7 +144,7 @@ func (g *Graph) Simplify(procs []int) *ClassGraph {
 				addTarget(t)
 			}
 		}
-		sort.Ints(cg.Arcs[i])
+		slices.Sort(cg.Arcs[i])
 	}
 	return cg
 }

@@ -132,3 +132,25 @@ func TestSimplifiedDistinctPairsStaySeparate(t *testing.T) {
 		t.Fatalf("arcs = %v", cg.Arcs)
 	}
 }
+
+// TestSimplifyLoneWaiterIsNotAllOthers: a one-process set has no other
+// process, so an OR over the empty set (e.g. a rank whose wait state is
+// unknown in a PARTIAL report) must not read "waits for all others".
+func TestSimplifyLoneWaiterIsNotAllOthers(t *testing.T) {
+	g := New(3)
+	g.SetBlocked(1, waitstate.OrWait, nil, "")
+	cg := g.Simplify(g.Deadlocked())
+	if len(cg.Classes) != 1 || cg.Classes[0].AllOthers {
+		t.Fatalf("classes = %+v, want one explicit class", cg.Classes)
+	}
+	if got, want := cg.Summary(), "1 wait classes over 1 processes"; got != want {
+		t.Fatalf("summary = %q, want %q", got, want)
+	}
+	var sb strings.Builder
+	if err := cg.DOT(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "ALL OTHER") {
+		t.Fatalf("simplified DOT:\n%s", sb.String())
+	}
+}

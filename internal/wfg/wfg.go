@@ -15,10 +15,9 @@
 package wfg
 
 import (
-	"bufio"
-	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"dwst/internal/waitstate"
 )
@@ -108,7 +107,6 @@ func (g *Graph) Deadlocked() []int {
 	//        condition can never be satisfied (OR over ∅ is ⊥).
 	need := make([]int32, g.n)
 	orEmpty := make([]bool, g.n)
-	rev := make([][]int32, g.n) // rev[t]: blocked waiters with an arc to t
 	for i := 0; i < g.n; i++ {
 		if !g.blocked[i] {
 			continue
@@ -121,9 +119,6 @@ func (g *Graph) Deadlocked() []int {
 			need[i] = 1
 		default:
 			need[i] = int32(len(g.targets[i]))
-		}
-		for _, t := range g.targets[i] {
-			rev[t] = append(rev[t], int32(i))
 		}
 	}
 
@@ -138,10 +133,17 @@ func (g *Graph) Deadlocked() []int {
 			queue = append(queue, int32(i))
 		}
 	}
+	// With nothing released there is nothing to propagate (the wildcard
+	// storm: everyone blocked), so the reverse arcs are only built when a
+	// release can travel along them.
+	var rev, revAt []int32
+	if len(queue) > 0 {
+		rev, revAt = g.reverseArcs()
+	}
 	for len(queue) > 0 {
 		t := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, w := range rev[t] {
+		for _, w := range rev[revAt[t]:revAt[t+1]] {
 			if released[w] || orEmpty[w] {
 				continue
 			}
@@ -161,6 +163,38 @@ func (g *Graph) Deadlocked() []int {
 	return dead
 }
 
+// reverseArcs returns the arcs reversed, in compressed rows: the blocked
+// waiters with an arc to t are rev[revAt[t]:revAt[t+1]], ascending.
+func (g *Graph) reverseArcs() (rev, revAt []int32) {
+	revAt = make([]int32, g.n+1)
+	for i := 0; i < g.n; i++ {
+		for _, t := range g.targets[i] {
+			revAt[t+1]++
+		}
+	}
+	for t := 0; t < g.n; t++ {
+		revAt[t+1] += revAt[t]
+	}
+	rev = make([]int32, revAt[g.n])
+	fill := slices.Clone(revAt[:g.n])
+	for i := 0; i < g.n; i++ {
+		for _, t := range g.targets[i] {
+			rev[fill[t]] = int32(i)
+			fill[t]++
+		}
+	}
+	return rev, revAt
+}
+
+// memberSet returns a rank-indexed membership mask of procs.
+func (g *Graph) memberSet(procs []int) []bool {
+	in := make([]bool, g.n)
+	for _, p := range procs {
+		in[p] = true
+	}
+	return in
+}
+
 // Cycle returns one dependency cycle within the deadlocked set, as a
 // sequence of processes p0 → p1 → … → pk (→ p0, the closing repeat
 // omitted). When the deadlock is caused by a permanently unsatisfiable
@@ -172,41 +206,28 @@ func (g *Graph) Cycle(dead []int) []int {
 	if len(dead) == 0 {
 		return nil
 	}
-	inDead := make(map[int32]bool, len(dead))
-	for _, d := range dead {
-		inDead[int32(d)] = true
-	}
-	next := func(i int32) int32 {
-		for _, t := range g.targets[i] {
-			if inDead[t] {
-				return t
-			}
+	inDead := g.memberSet(dead)
+	// seenAt[v] is v's position on the walk plus one (0: not walked yet).
+	seenAt := make([]int32, g.n)
+	var path []int
+	for cur := dead[0]; cur >= 0; {
+		if at := seenAt[cur]; at > 0 {
+			return path[at-1:]
 		}
-		return -1
-	}
-	start := int32(dead[0])
-	seenAt := map[int32]int{}
-	var path []int32
-	cur := start
-	for cur >= 0 {
-		if at, ok := seenAt[cur]; ok {
-			cycle := make([]int, 0, len(path)-at)
-			for _, p := range path[at:] {
-				cycle = append(cycle, int(p))
-			}
-			return cycle
-		}
-		seenAt[cur] = len(path)
 		path = append(path, cur)
-		cur = next(cur)
+		seenAt[cur] = int32(len(path))
+		next := -1
+		for _, t := range g.targets[cur] {
+			if inDead[t] {
+				next = int(t)
+				break
+			}
+		}
+		cur = next
 	}
 	// Dead-ended: the deadlock is anchored on an unsatisfiable wait
 	// (finished target or empty OR); return the chain.
-	chain := make([]int, len(path))
-	for i, p := range path {
-		chain[i] = int(p)
-	}
-	return chain
+	return path
 }
 
 // Groups decomposes the deadlocked set into independent deadlock clusters:
@@ -219,69 +240,94 @@ func (g *Graph) Groups(dead []int) [][]int {
 	if len(dead) == 0 {
 		return nil
 	}
-	// Tarjan's SCC over the subgraph induced by dead.
-	index := make(map[int]int, len(dead))
-	low := make(map[int]int, len(dead))
-	onStack := make(map[int]bool, len(dead))
-	inDead := make(map[int]bool, len(dead))
-	for _, d := range dead {
-		inDead[d] = true
+	// Tarjan's SCC over the subgraph induced by dead, with an explicit
+	// call stack. index[v] is v's visit number plus one (0: unvisited).
+	inDead := g.memberSet(dead)
+	index := make([]int32, g.n)
+	low := make([]int32, g.n)
+	onStack := make([]bool, g.n)
+	type frame struct {
+		v    int32
+		next int32 // next target of v to explore
 	}
-	var stack []int
-	var groups [][]int
-	next := 0
-
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		index[v] = next
-		low[v] = next
-		next++
+	var calls []frame
+	var stack []int32
+	var visits int32
+	visit := func(v int32) {
+		visits++
+		index[v], low[v] = visits, visits
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, tw := range g.targets[v] {
-			t := int(tw)
-			if !inDead[t] {
+		calls = append(calls, frame{v: v})
+	}
+	// Every dead process lands in exactly one group, so the groups share
+	// one backing array.
+	members := make([]int, 0, len(dead))
+	var groups [][]int
+	for _, d := range dead {
+		if index[d] != 0 {
+			continue
+		}
+		visit(int32(d))
+		for len(calls) > 0 {
+			f := &calls[len(calls)-1]
+			v := f.v
+			ts := g.targets[v]
+			i := int(f.next)
+			for ; i < len(ts); i++ {
+				t := ts[i]
+				if !inDead[t] {
+					continue
+				}
+				if index[t] == 0 {
+					break
+				}
+				if onStack[t] && index[t] < low[v] {
+					low[v] = index[t]
+				}
+			}
+			if i < len(ts) {
+				f.next = int32(i + 1)
+				visit(ts[i])
 				continue
 			}
-			if _, seen := index[t]; !seen {
-				strongconnect(t)
-				if low[t] < low[v] {
-					low[v] = low[t]
+			calls = calls[:len(calls)-1]
+			if len(calls) > 0 {
+				if u := calls[len(calls)-1].v; low[v] < low[u] {
+					low[u] = low[v]
 				}
-			} else if onStack[t] && index[t] < low[v] {
-				low[v] = index[t]
 			}
-		}
-		if low[v] == index[v] {
-			var comp []int
+			if low[v] != index[v] {
+				continue
+			}
+			from := len(members)
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				members = append(members, int(w))
 				if w == v {
 					break
 				}
 			}
-			sort.Ints(comp)
+			comp := members[from:len(members):len(members)]
+			slices.Sort(comp)
 			groups = append(groups, comp)
 		}
 	}
-	for _, d := range dead {
-		if _, seen := index[d]; !seen {
-			strongconnect(d)
-		}
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a][0] < groups[b][0] })
+	slices.SortFunc(groups, func(a, b []int) int { return a[0] - b[0] })
 	return groups
 }
 
+// dotFlushAt is the buffered size at which DOT hands its rendering to the
+// writer, so the output streams for very large graphs.
+const dotFlushAt = 1 << 16
+
 // DOT writes the wait-for graph of the given processes (typically the
 // deadlocked set; nil means all blocked processes) in Graphviz DOT format,
-// in the style of MUST's deadlock reports. The writer receives one line per
-// node and arc, so the output streams for very large graphs.
+// in the style of MUST's deadlock reports. Arcs to processes outside the
+// set point at dashed ext nodes.
 func (g *Graph) DOT(w io.Writer, procs []int) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
 	if procs == nil {
 		for i := 0; i < g.n; i++ {
 			if g.blocked[i] {
@@ -289,30 +335,65 @@ func (g *Graph) DOT(w io.Writer, procs []int) error {
 			}
 		}
 	}
-	include := make(map[int]bool, len(procs))
-	for _, p := range procs {
-		include[p] = true
+	include := g.memberSet(procs)
+	// dec[at[r]:at[r+1]] is the decimal text of rank r, formatted once
+	// instead of once per arc end.
+	at := make([]int32, g.n+1)
+	dec := make([]byte, 0, g.n*len(strconv.Itoa(g.n)))
+	for r := 0; r < g.n; r++ {
+		dec = strconv.AppendInt(dec, int64(r), 10)
+		at[r+1] = int32(len(dec))
 	}
-	fmt.Fprintln(bw, "digraph WaitForGraph {")
-	fmt.Fprintln(bw, "  rankdir=LR;")
+	rank := func(r int) []byte { return dec[at[r]:at[r+1]] }
+
+	buf := make([]byte, 0, dotFlushAt+256)
+	var err error
+	buf = append(buf, "digraph WaitForGraph {\n  rankdir=LR;\n"...)
 	for _, p := range procs {
-		shape := "box"
-		label := fmt.Sprintf("rank %d\\nAND", p)
+		buf = append(buf, "  p"...)
+		buf = append(buf, rank(p)...)
 		if g.sem[p] == waitstate.OrWait {
-			shape = "diamond"
-			label = fmt.Sprintf("rank %d\\nOR", p)
+			buf = append(buf, ` [shape=diamond,label="rank `...)
+			buf = append(buf, rank(p)...)
+			buf = append(buf, `\nOR"];`+"\n"...)
+		} else {
+			buf = append(buf, ` [shape=box,label="rank `...)
+			buf = append(buf, rank(p)...)
+			buf = append(buf, `\nAND"];`+"\n"...)
 		}
-		fmt.Fprintf(bw, "  p%d [shape=%s,label=\"%s\"];\n", p, shape, label)
+		if len(buf) >= dotFlushAt {
+			buf, err = flushDOT(w, buf, err)
+		}
 	}
+	var from []byte // "  p<p> -> ", shared by every arc of p
 	for _, p := range procs {
+		from = append(append(append(from[:0], "  p"...), rank(p)...), " -> "...)
 		for _, t := range g.targets[p] {
-			if include[int(t)] {
-				fmt.Fprintf(bw, "  p%d -> p%d;\n", p, t)
+			buf = append(buf, from...)
+			if include[t] {
+				buf = append(buf, 'p')
+				buf = append(buf, rank(int(t))...)
+				buf = append(buf, ";\n"...)
 			} else {
-				fmt.Fprintf(bw, "  p%d -> ext%d [style=dashed];\n", p, t)
+				buf = append(buf, "ext"...)
+				buf = append(buf, rank(int(t))...)
+				buf = append(buf, " [style=dashed];\n"...)
+			}
+			if len(buf) >= dotFlushAt {
+				buf, err = flushDOT(w, buf, err)
 			}
 		}
 	}
-	fmt.Fprintln(bw, "}")
-	return bw.Flush()
+	buf = append(buf, "}\n"...)
+	_, err = flushDOT(w, buf, err)
+	return err
+}
+
+// flushDOT hands buf to w unless an earlier write failed, and returns the
+// emptied buffer with the first write error.
+func flushDOT(w io.Writer, buf []byte, err error) ([]byte, error) {
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	return buf[:0], err
 }

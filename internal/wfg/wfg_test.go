@@ -1,7 +1,11 @@
 package wfg
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -403,5 +407,267 @@ func TestSetBlockedReplacesCondition(t *testing.T) {
 	}
 	if g.Desc(0) != "second" {
 		t.Fatalf("desc = %q", g.Desc(0))
+	}
+}
+
+// refDOT is the straightforward fmt-based DOT writer with map membership
+// that Graph.DOT replaced; it is the oracle for byte-identical output.
+func refDOT(g *Graph, w io.Writer, procs []int) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if procs == nil {
+		for i := 0; i < g.n; i++ {
+			if g.blocked[i] {
+				procs = append(procs, i)
+			}
+		}
+	}
+	include := make(map[int]bool, len(procs))
+	for _, p := range procs {
+		include[p] = true
+	}
+	fmt.Fprintln(bw, "digraph WaitForGraph {")
+	fmt.Fprintln(bw, "  rankdir=LR;")
+	for _, p := range procs {
+		shape := "box"
+		label := fmt.Sprintf("rank %d\\nAND", p)
+		if g.sem[p] == waitstate.OrWait {
+			shape = "diamond"
+			label = fmt.Sprintf("rank %d\\nOR", p)
+		}
+		fmt.Fprintf(bw, "  p%d [shape=%s,label=\"%s\"];\n", p, shape, label)
+	}
+	for _, p := range procs {
+		for _, t := range g.targets[p] {
+			if include[int(t)] {
+				fmt.Fprintf(bw, "  p%d -> p%d;\n", p, t)
+			} else {
+				fmt.Fprintf(bw, "  p%d -> ext%d [style=dashed];\n", p, t)
+			}
+		}
+	}
+	fmt.Fprintln(bw, "}")
+	return bw.Flush()
+}
+
+// randomGraph draws a mixed AND/OR graph over 1..maxN processes: some
+// unblocked, some finished, blocked ones with random (possibly repeated or
+// self) targets, and now and then an OR over the empty set.
+func randomGraph(r *rand.Rand, maxN int) *Graph {
+	n := 1 + r.Intn(maxN)
+	g := New(n)
+	density := 0.05 + 0.4*r.Float64()
+	for i := 0; i < n; i++ {
+		if r.Float64() < 0.2 {
+			if r.Float64() < 0.5 {
+				g.SetFinished(i)
+			}
+			continue
+		}
+		sem := waitstate.AndWait
+		if r.Float64() < 0.5 {
+			sem = waitstate.OrWait
+		}
+		var ts []int
+		for j := 0; j < n; j++ {
+			if r.Float64() < density && (j != i || r.Float64() < 0.1) {
+				ts = append(ts, j)
+			}
+		}
+		if len(ts) > 0 && r.Float64() < 0.1 {
+			ts = append(ts, ts[r.Intn(len(ts))])
+		}
+		r.Shuffle(len(ts), func(a, b int) { ts[a], ts[b] = ts[b], ts[a] })
+		g.SetBlocked(i, sem, ts, "")
+	}
+	return g
+}
+
+// TestDOTMatchesReference: on seeded random graphs, the array-based DOT
+// writer produces exactly the bytes of the fmt-based reference, for the
+// nil (all blocked) set, the deadlocked set and random subsets.
+func TestDOTMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 400; trial++ {
+		g := randomGraph(r, 60)
+		var sub []int
+		for i := 0; i < g.n; i++ {
+			if g.blocked[i] && r.Float64() < 0.5 {
+				sub = append(sub, i)
+			}
+		}
+		for _, procs := range [][]int{nil, g.Deadlocked(), sub} {
+			var got, want strings.Builder
+			if err := g.DOT(&got, procs); err != nil {
+				t.Fatal(err)
+			}
+			if err := refDOT(g, &want, procs); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("trial %d, procs %v: DOT differs from the reference\ngot:\n%s\nwant:\n%s",
+					trial, procs, got.String(), want.String())
+			}
+		}
+	}
+}
+
+// TestDOTStreamsLargeGraphs: a rendering larger than one flush chunk
+// reaches the writer in pieces and still equals the reference.
+func TestDOTStreamsLargeGraphs(t *testing.T) {
+	const p = 128
+	g := New(p)
+	for i := 0; i < p; i++ {
+		var ts []int
+		for j := 0; j < p; j++ {
+			if j != i {
+				ts = append(ts, j)
+			}
+		}
+		g.SetBlocked(i, waitstate.OrWait, ts, "")
+	}
+	cw := &countingWriter{}
+	if err := g.DOT(cw, nil); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := refDOT(g, &want, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cw.sb.String() != want.String() {
+		t.Fatal("streamed DOT differs from the reference")
+	}
+	if cw.writes < 2 || cw.maxWrite > dotFlushAt+256 {
+		t.Fatalf("%d writes of at most %d bytes, want several bounded chunks", cw.writes, cw.maxWrite)
+	}
+}
+
+type countingWriter struct {
+	sb       strings.Builder
+	writes   int
+	maxWrite int
+}
+
+func (c *countingWriter) Write(b []byte) (int, error) {
+	c.writes++
+	c.maxWrite = max(c.maxWrite, len(b))
+	return c.sb.Write(b)
+}
+
+// reachable returns the processes reachable from v over arcs that stay
+// inside the set in (v included).
+func reachable(g *Graph, v int, in []bool) []bool {
+	seen := make([]bool, g.n)
+	seen[v] = true
+	queue := []int{v}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, t := range g.targets[u] {
+			if in[t] && !seen[t] {
+				seen[t] = true
+				queue = append(queue, int(t))
+			}
+		}
+	}
+	return seen
+}
+
+// sccByReachability computes the groups the slow way: u and v share a
+// component iff each reaches the other. Components are ordered by their
+// smallest member, members ascending — the Groups contract.
+func sccByReachability(g *Graph, dead []int) [][]int {
+	in := make([]bool, g.n)
+	for _, d := range dead {
+		in[d] = true
+	}
+	reach := make(map[int][]bool, len(dead))
+	for _, d := range dead {
+		reach[d] = reachable(g, d, in)
+	}
+	assigned := make([]bool, g.n)
+	var groups [][]int
+	for _, v := range dead { // ascending, so each group starts at its minimum
+		if assigned[v] {
+			continue
+		}
+		var comp []int
+		for _, u := range dead {
+			if reach[v][u] && reach[u][v] {
+				comp = append(comp, u)
+				assigned[u] = true
+			}
+		}
+		groups = append(groups, comp)
+	}
+	return groups
+}
+
+// TestGroupsMatchMutualReachability property-tests the Tarjan grouping
+// against independently computed strongly connected components, and checks
+// that Cycle returns a valid walk inside the deadlocked set.
+func TestGroupsMatchMutualReachability(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	deadlocks := 0
+	for trial := 0; trial < 1200; trial++ {
+		g := randomGraph(r, 30)
+		dead := g.Deadlocked()
+		got, want := g.Groups(dead), sccByReachability(g, dead)
+		if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+			t.Fatalf("trial %d: Groups = %v, want %v", trial, got, want)
+		}
+		if len(dead) == 0 {
+			if c := g.Cycle(dead); c != nil {
+				t.Fatalf("trial %d: Cycle of an empty set = %v", trial, c)
+			}
+			continue
+		}
+		deadlocks++
+		checkCycle(t, trial, g, dead, g.Cycle(dead))
+	}
+	if deadlocks < 300 {
+		t.Fatalf("only %d of the random graphs deadlock; the property is barely exercised", deadlocks)
+	}
+}
+
+// checkCycle asserts the Cycle contract: distinct deadlocked processes,
+// consecutive ones joined by arcs, and either a closing arc back to the
+// first (a cycle) or a chain from dead[0] ending at an unsatisfiable wait.
+func checkCycle(t *testing.T, trial int, g *Graph, dead, c []int) {
+	t.Helper()
+	in := make([]bool, g.n)
+	for _, d := range dead {
+		in[d] = true
+	}
+	hasArc := func(u, v int) bool { return slices.Contains(g.targets[u], int32(v)) }
+	if len(c) == 0 {
+		t.Fatalf("trial %d: empty cycle for dead set %v", trial, dead)
+	}
+	seen := map[int]bool{}
+	for i, v := range c {
+		if !in[v] || seen[v] {
+			t.Fatalf("trial %d: cycle %v leaves the dead set %v or repeats %d", trial, c, dead, v)
+		}
+		seen[v] = true
+		if i > 0 && !hasArc(c[i-1], v) {
+			t.Fatalf("trial %d: cycle %v steps %d→%d without an arc", trial, c, c[i-1], v)
+		}
+	}
+	if hasArc(c[len(c)-1], c[0]) {
+		return
+	}
+	if c[0] != dead[0] {
+		t.Fatalf("trial %d: chain %v does not start at %d", trial, c, dead[0])
+	}
+	last := c[len(c)-1]
+	finished, deadTarget := false, false
+	for _, t := range g.targets[last] {
+		finished = finished || g.finished[t]
+		deadTarget = deadTarget || in[t]
+	}
+	allFinished := !slices.ContainsFunc(g.targets[last], func(t int32) bool { return !g.finished[t] })
+	unsatisfiable := (g.sem[last] == waitstate.AndWait && finished) ||
+		(g.sem[last] == waitstate.OrWait && allFinished)
+	if deadTarget || !unsatisfiable {
+		t.Fatalf("trial %d: chain %v ends at %d, whose wait is satisfiable or continues", trial, c, last)
 	}
 }
